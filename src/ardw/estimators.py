@@ -42,9 +42,14 @@ def ols_theta(
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
     ridge > 0 adds ridge * I to S for degenerate inputs; the default keeps
-    the estimator unbiased and raises SingularDesign instead.
+    the estimator unbiased and raises SingularDesign instead. p < 1 or a
+    non-finite series raise ValueError.
     """
     x = np.asarray(x, dtype=float)
+    if p < 1:
+        raise ValueError(f"model order p must be >= 1, got {p}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("series must contain only finite values")
     if x.shape[0] < p + 2:
         raise SingularDesign(f"series length {x.shape[0]} < p+2 = {p + 2}")
     L = lag_matrix(x, p)
@@ -145,6 +150,7 @@ def fit(x: np.ndarray, p: int, ridge: float = 0.0) -> FitResult:
     eps = residuals(x, theta_hat)
     rho_hat = ols_rho(eps)
     dw = dw_statistic(eps)
+    mean_sq = float(eps @ eps) / n
 
     notes: list[str] = []
     tp = theta_hat[-1]
@@ -152,15 +158,13 @@ def fit(x: np.ndarray, p: int, ridge: float = 0.0) -> FitResult:
         s2 = np.nan
         notes.append("near_zero_theta_p")
     else:
-        mean_sq = float(eps @ eps) / n
         s2 = (1.0 - rho_hat**2 / tp**2) * mean_sq
         if s2 < 0.0:
             notes.append("negative_sigma2_hat")
 
     # variance of the first coefficient under the no-correlation hypothesis,
-    # for the h-statistic: sigma2_0 * [S^{-1}]_{11}
-    sigma2_0 = float(eps @ eps) / n
-    var_theta1 = sigma2_0 * float(np.linalg.inv(S)[0, 0])
+    # for the h-statistic: sigma2_0 * [S^{-1}]_{11} with sigma2_0 = mean_sq
+    var_theta1 = mean_sq * float(np.linalg.inv(S)[0, 0])
 
     return FitResult(
         p=p,

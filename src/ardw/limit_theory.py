@@ -11,7 +11,7 @@ provided so that the linear-system route can be cross-validated.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class ModelParams:
     """True parameters of the AR(p) model with AR(1)-correlated noise.
 
     The stability region is open: ||theta||_1 < 1 and |rho| < 1 strictly.
+    Construction enforces it (check_stability), so every function taking a
+    ModelParams can rely on it.
     """
 
     p: int
@@ -52,6 +54,7 @@ class ModelParams:
         object.__setattr__(self, "sigma2", float(self.sigma2))
         if theta.ndim != 1 or theta.shape[0] != self.p or self.p < 1:
             raise ValueError(f"theta must be a vector of length p={self.p}")
+        check_stability(self)
 
 
 def check_stability(params: ModelParams) -> None:
@@ -72,7 +75,6 @@ def check_stability(params: ModelParams) -> None:
 
 def beta_vector(params: ModelParams) -> np.ndarray:
     """Combined coefficient vector: (theta_1 + rho, theta_2 - theta_1 rho, ...)."""
-    check_stability(params)
     theta, rho = params.theta, params.rho
     beta = theta.copy()
     beta[0] += rho
@@ -82,7 +84,6 @@ def beta_vector(params: ModelParams) -> np.ndarray:
 
 def alpha_scalar(params: ModelParams) -> float:
     """Normalization 1 / (1 - (theta_p rho)^2), finite on the stability region."""
-    check_stability(params)
     tpr = params.theta[-1] * params.rho
     return 1.0 / ((1.0 - tpr) * (1.0 + tpr))
 
@@ -102,27 +103,12 @@ def _system_matrix(beta: np.ndarray, tail: float, p: int) -> np.ndarray:
 
 def build_B(params: ModelParams) -> np.ndarray:
     """Matrix of the (p+2)-order linear system whose solution holds the
-    normalized autocovariances of the process at lags 0..p+1."""
-    beta = beta_vector(params)
+    normalized autocovariances of the process at lags 0..p+1.
+
+    Its conditioning is checked where the system is solved (solve_lambda).
+    """
     tpr = params.theta[-1] * params.rho
-    B = _system_matrix(beta, tpr, params.p)
-    cond = np.linalg.cond(B)
-    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
-        raise SingularB(f"system matrix numerically singular (cond ~ {cond:.3g})")
-    return B
-
-
-def build_B_parts(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Decomposition B = B1 + rho * B2 with B1 the rho-free part."""
-    check_stability(params)
-    theta, p = params.theta, params.p
-    B1 = _system_matrix(theta, 0.0, p)
-    # contribution linear in rho: beta_i picks up -theta_{i-1} (theta_0 = -1
-    # by convention) and the tail coefficient is theta_p
-    theta_shift = np.concatenate(([-1.0], theta[:-1]))
-    B2 = -_system_matrix(theta_shift, -theta[-1], p)
-    np.fill_diagonal(B2, B2.diagonal() + 1.0)
-    return B1, B2
+    return _system_matrix(beta_vector(params), tpr, params.p)
 
 
 def solve_lambda(B: np.ndarray) -> np.ndarray:
@@ -172,27 +158,6 @@ def companion_matrix(params: ModelParams) -> np.ndarray:
     C[0, p] = -params.theta[-1] * params.rho
     C[1:, :-1] = np.eye(p)
     return C
-
-
-def spectral_radius(M: np.ndarray, tol: float = 1e-12, max_iter: int = 10**5) -> float:
-    """Spectral radius by power iteration with an eigenvalue fallback.
-
-    Power iteration can stall when the dominant eigenvalues form a complex
-    pair; in that case the exact eigenvalues of the small matrix are used.
-    """
-    n = M.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    prev = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - prev) <= tol * max(nw, 1.0):
-            return nw
-        prev = nw
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
 def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
@@ -248,7 +213,11 @@ class LimitSummary:
     sigma2_D: float
     C_A: np.ndarray
     gamma_singular: bool
-    cond_B: float = field(default=np.nan)
+
+    @property
+    def cond_B(self) -> float:
+        """Condition number of the autocovariance system matrix."""
+        return np.linalg.cond(self.B)
 
     def to_dict(self) -> dict:
         """JSON-ready representation."""
@@ -284,8 +253,10 @@ def limit_summary(params: ModelParams) -> LimitSummary:
 
     B = build_B(params)
     lam = solve_lambda(B)
-    Delta_p = toeplitz_delta(lam, p)
     Delta_p1 = toeplitz_delta(lam, p + 1)
+    # a leading principal block of a positive definite matrix is positive
+    # definite (Cauchy interlacing), so Delta_p needs no check of its own
+    Delta_p = Delta_p1[:p, :p]
 
     J = np.fliplr(np.eye(p))
     K = np.eye(p) - tpr * J
@@ -340,5 +311,4 @@ def limit_summary(params: ModelParams) -> LimitSummary:
         sigma2_D=4.0 * sigma2_rho,
         C_A=C_A,
         gamma_singular=bool(abs(theta_star[-1]) < THETA_STAR_P_SINGULARITY_TOL),
-        cond_B=np.linalg.cond(B),
     )

@@ -9,14 +9,16 @@ worker count or scheduling order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArdwError
-from .estimators import fit
+from .estimators import fit, lag_matrix
 from .limit_theory import LimitSummary, ModelParams, limit_summary
 from .serial_tests import TEST_NAMES, run_tests
 from .simulate import NoiseSpec, simulate
@@ -126,9 +128,17 @@ def _run_replication(config: StudyConfig, params_id: int, n: int, rep: int) -> d
     return flags
 
 
-def _run_chunk(args) -> list:
+def _run_chunk(args) -> Counter:
+    """Counts keyed (test name, "reject" | "inapplicable") over a range of
+    replications of one (params, n) cell."""
     config, params_id, n, rep_range = args
-    return [_run_replication(config, params_id, n, rep) for rep in rep_range]
+    counts = Counter()
+    for rep in rep_range:
+        flags = _run_replication(config, params_id, n, rep)
+        for name, (reject, inapplicable) in flags.items():
+            counts[name, "reject"] += reject
+            counts[name, "inapplicable"] += inapplicable
+    return counts
 
 
 def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
@@ -136,39 +146,40 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
 
     Deterministic for a fixed master_seed whatever the worker count:
     replication seeds depend only on their grid coordinates and results are
-    merged in grid order.
+    merged in grid order. workers > 1 runs the chunks on one process pool
+    for the whole study.
     """
-    rows = []
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = [
         (params_id, n)
         for params_id in range(len(config.params_list))
         for n in config.n_list
     ]
-    for params_id, n in cells:
-        if workers > 1:
-            chunk_size = max(1, config.reps // (4 * workers))
-            chunks = [
-                (config, params_id, n, range(r, min(r + chunk_size, config.reps)))
-                for r in range(0, config.reps, chunk_size)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [f for batch in pool.map(_run_chunk, chunks) for f in batch]
-        else:
-            results = [
-                _run_replication(config, params_id, n, rep)
-                for rep in range(config.reps)
-            ]
+    chunk_size = max(1, config.reps // (4 * workers))
+    chunks = [
+        (config, params_id, n, range(r, min(r + chunk_size, config.reps)))
+        for params_id, n in cells
+        for r in range(0, config.reps, chunk_size)
+    ]
+    totals = {cell: Counter() for cell in cells}
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        results = (pool.map if pool else map)(_run_chunk, chunks)
+        for (_, params_id, n, _), counts in zip(chunks, results):
+            totals[params_id, n].update(counts)
+
+    rows = []
+    for (params_id, n), counts in totals.items():
         for name in config.tests:
-            nrej = sum(1 for f in results if f[name][0])
-            ninap = sum(1 for f in results if f[name][1])
-            r = nrej / config.reps
+            r = counts[name, "reject"] / config.reps
             rows.append(
                 {
                     "params_id": params_id,
                     "n": n,
                     "test_name": name,
                     "rejection_rate": r,
-                    "inapplicable_rate": ninap / config.reps,
+                    "inapplicable_rate": counts[name, "inapplicable"] / config.reps,
                     "mc_stderr": float(np.sqrt(r * (1.0 - r) / config.reps)),
                     "reps": config.reps,
                 }
@@ -236,9 +247,7 @@ def _theta_hat_path(
     """Estimates at every stage k >= start along one path, via cumulative
     Gram sums and a batched solve. Returns (stages, estimates)."""
     n = x.shape[0] - 1
-    L = np.zeros((n, p))
-    for i in range(p):
-        L[i:, i] = x[: n - i]
+    L = lag_matrix(x, p)
     # S_{k-1} entries and numerator entries as running sums over j <= k-1
     gram = np.cumsum(L[:, :, None] * L[:, None, :], axis=0)
     num = np.cumsum(L * x[1:, None], axis=0)
@@ -261,12 +270,17 @@ def rate_diagnostic(
     Tracks the log-averaged outer product of the estimation errors toward
     the asymptotic covariance (quadratic strong law) and the boundedness of
     the iterated-logarithm normalization n ||error||^2 / (2 log log n).
+    Default checkpoints are 8 log-spaced stages from min(1000, n_max) to
+    n_max; explicit checkpoints beyond n_max raise ValueError.
     """
     limits = limit_summary(params)
     if checkpoints is None:
         checkpoints = tuple(
-            int(v) for v in np.unique(np.geomspace(1000, n_max, 8).astype(int))
+            int(v)
+            for v in np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
         )
+    elif any(cp > n_max for cp in checkpoints):
+        raise ValueError(f"checkpoints must not exceed n_max = {n_max}")
     traj = simulate(params, n_max, noise=noise, seed=seed)
     start = max(50, 10 * params.p)
     stages, theta = _theta_hat_path(traj.x, params.p, start)

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .estimators import FitResult, lag_matrix
 
-TEST_NAMES = ("dw_chi2", "durbin_h", "box_pierce", "ljung_box", "breusch_godfrey")
+_STANDARD_NORMAL = NormalDist()
 
 
 def chi2_sf(x: float) -> float:
@@ -38,38 +39,19 @@ def normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _invert_sf(sf, target: float, lo: float, hi: float) -> float:
-    while sf(hi) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DomainError("quantile bracket blew up")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sf(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def chi2_quantile(q: float) -> float:
-    """(q)-quantile of the one-degree chi-square distribution, by bisection."""
+    """(q)-quantile of the one-degree chi-square distribution: the square of
+    the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
-    return _invert_sf(chi2_sf, 1.0 - q, 0.0, 10.0)
+    return normal_quantile(0.5 * (1.0 - q)) ** 2
 
 
 def normal_quantile(q: float) -> float:
-    """Standard normal (q)-quantile, by bisection on the survival function."""
+    """Standard normal (q)-quantile."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
-    if q == 0.5:
-        return 0.0
-    if q < 0.5:
-        return -normal_quantile(1.0 - q)
-    return _invert_sf(normal_sf, 1.0 - q, 0.0, 10.0)
+    return _STANDARD_NORMAL.inv_cdf(q)
 
 
 @dataclass(frozen=True)
@@ -192,6 +174,18 @@ def breusch_godfrey_test(
     return _outcome("breusch_godfrey", stat, chi2_sf(max(stat, 0.0)), level)
 
 
+#: every test under the one signature (x, fit, level), in reporting order
+_TESTS = {
+    "dw_chi2": lambda x, fit, level: dw_chi2_test(fit, level),
+    "durbin_h": lambda x, fit, level: durbin_h_test(fit, level),
+    "box_pierce": lambda x, fit, level: box_pierce_test(fit.residuals, level),
+    "ljung_box": lambda x, fit, level: ljung_box_test(fit.residuals, level),
+    "breusch_godfrey": breusch_godfrey_test,
+}
+
+TEST_NAMES = tuple(_TESTS)
+
+
 def run_tests(
     x: np.ndarray,
     fit: FitResult,
@@ -199,22 +193,20 @@ def run_tests(
     names: tuple[str, ...] = TEST_NAMES,
 ) -> list[TestOutcome]:
     """Apply a batch of tests; inapplicable ones are reported as outcomes with
-    a warning rather than aborting the batch."""
+    a warning rather than aborting the batch.
+
+    An unknown test name or a level outside (0, 1) raises ValueError before
+    any test runs.
+    """
+    for name in names:
+        if name not in _TESTS:
+            raise ValueError(f"unknown test {name!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     out = []
     for name in names:
         try:
-            if name == "dw_chi2":
-                out.append(dw_chi2_test(fit, level))
-            elif name == "durbin_h":
-                out.append(durbin_h_test(fit, level))
-            elif name == "box_pierce":
-                out.append(box_pierce_test(fit.residuals, level))
-            elif name == "ljung_box":
-                out.append(ljung_box_test(fit.residuals, level))
-            elif name == "breusch_godfrey":
-                out.append(breusch_godfrey_test(x, fit, level))
-            else:
-                raise ValueError(f"unknown test {name!r}")
+            out.append(_TESTS[name](x, fit, level))
         except (InapplicableH, NearZeroThetaP, DegenerateResiduals,
                 SingularAuxiliaryRegression) as exc:
             out.append(

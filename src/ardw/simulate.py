@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .limit_theory import ModelParams, check_stability
+from .limit_theory import ModelParams
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
 
@@ -133,7 +133,6 @@ def simulate(
     with burn_in > 0 the noise chain alone is warmed up for burn_in steps, so
     the observation recursion still holds exactly at every reported index.
     """
-    check_stability(params)
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
     if noise is None:

@@ -115,6 +115,32 @@ class TestErrorPaths:
     def test_missing_required_argument_exit_2(self):
         assert run(["limits", "--theta", "0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "series, p, message",
+        [
+            ("0.1\n0.5\n-0.2\n0.3\n0.7\n", "0", "p must be >= 1"),
+            ("0.1\n0.5\n-0.2\n0.3\n0.7\n", "-1", "p must be >= 1"),
+            ("0.1\n0.5\nnan\n0.3\n0.7\n", "1", "finite"),
+        ],
+        ids=["p_zero", "p_negative", "nan_in_series"],
+    )
+    def test_bad_fit_input_exit_2(self, tmp_path, capsys, series, p, message):
+        path = tmp_path / "series.csv"
+        path.write_text(series)
+        assert run(["fit", "--input", str(path), "--p", p]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+
+    def test_level_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "100",
+             "--seed", "4", "--output", str(csv)])
+        assert run(["test", "--input", str(csv), "--p", "1", "--level", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "level" in json.loads(captured.err)["message"]
+
 
 class TestPowerCommand:
     def test_power_from_config(self, tmp_path):
@@ -134,6 +160,17 @@ class TestPowerCommand:
         # byte-identical to the library path
         table = ardw.size_power_study(ardw.StudyConfig.from_json(cfg_path))
         assert out.read_text() == table.to_csv()
+
+    def test_zero_workers_exit_2(self, tmp_path, capsys):
+        cfg = {"params_list": [{"p": 1, "theta": [0.5], "rho": 0.0}],
+               "n_list": [100], "reps": 100}
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "table.csv"
+        assert run(["power", "--config", str(cfg_path), "--output", str(out),
+                    "--workers", "0"]) == 2
+        assert "workers" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:
@@ -155,3 +192,11 @@ class TestDiagnoseCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_max"] == 5000
         assert report["checkpoints"]
+
+    def test_rate_shorter_than_default_checkpoints(self, capsys):
+        assert run(
+            ["diagnose", "--kind", "rate", "--theta", "0.5", "--rho", "0.2",
+             "--n", "100"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["n"] for row in report["checkpoints"]] == [100]

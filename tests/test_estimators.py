@@ -66,6 +66,20 @@ class TestOlsTheta:
         with pytest.raises(SingularDesign):
             ardw.ols_theta(np.zeros(10), 1)
 
+    @pytest.mark.parametrize(
+        "x, p, message",
+        [
+            (np.arange(10.0), 0, "p must be >= 1"),
+            (np.arange(10.0), -1, "p must be >= 1"),
+            (np.array([1.0, 2.0, np.nan, 0.5, 0.3]), 1, "finite"),
+            (np.array([1.0, np.inf, 0.2, 0.5, 0.3]), 1, "finite"),
+        ],
+        ids=["p_zero", "p_negative", "nan", "inf"],
+    )
+    def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
+        with pytest.raises(ValueError, match=message):
+            ardw.ols_theta(x, p)
+
     def test_ridge_rescues_degenerate(self):
         theta_hat, _ = ardw.ols_theta(np.ones(10), 2, ridge=1e-6)
         assert np.all(np.isfinite(theta_hat))

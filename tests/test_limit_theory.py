@@ -9,7 +9,7 @@ from ardw.errors import (
     UnstableTheta,
     ZeroTheta,
 )
-from ardw.limit_theory import build_B_parts, spectral_radius
+from ardw.limit_theory import _system_matrix
 
 from conftest import random_stable_params
 
@@ -17,6 +17,18 @@ from conftest import random_stable_params
 def params(theta, rho, sigma2=1.0):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     return ardw.ModelParams(p=len(theta), theta=theta, rho=rho, sigma2=sigma2)
+
+
+def build_B_parts(params):
+    """Oracle decomposition B = B1 + rho * B2 with B1 the rho-free part."""
+    theta, p = params.theta, params.p
+    B1 = _system_matrix(theta, 0.0, p)
+    # contribution linear in rho: beta_i picks up -theta_{i-1} (theta_0 = -1
+    # by convention) and the tail coefficient is theta_p
+    theta_shift = np.concatenate(([-1.0], theta[:-1]))
+    B2 = -_system_matrix(theta_shift, -theta[-1], p)
+    np.fill_diagonal(B2, B2.diagonal() + 1.0)
+    return B1, B2
 
 
 class TestStability:
@@ -38,6 +50,21 @@ class TestStability:
     def test_bad_variance(self):
         with pytest.raises(BadVariance):
             ardw.check_stability(params([0.5], 0.3, sigma2=0.0))
+
+    @pytest.mark.parametrize(
+        "theta, rho, sigma2, error",
+        [
+            ([0.6, 0.5], 0.0, 1.0, UnstableTheta),
+            ([0.5], -1.0, 1.0, UnstableRho),
+            ([0.0, 0.0], 0.3, 1.0, ZeroTheta),
+            ([0.5], 0.3, -1.0, BadVariance),
+            ([np.nan], 0.3, 1.0, ValueError),
+        ],
+        ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan"],
+    )
+    def test_construction_enforces_region(self, theta, rho, sigma2, error):
+        with pytest.raises(error):
+            params(theta, rho, sigma2)
 
 
 class TestBetaAlpha:
@@ -153,7 +180,7 @@ class TestCompanion:
     def test_p1_rho_zero(self):
         C = ardw.companion_matrix(params([0.5], 0.0))
         np.testing.assert_allclose(C, [[0.5, 0.0], [1.0, 0.0]])
-        assert spectral_radius(C) == pytest.approx(0.5, abs=1e-10)
+        assert np.max(np.abs(np.linalg.eigvals(C))) == pytest.approx(0.5, abs=1e-10)
 
     def test_p1_eigenvalues_factor(self):
         # eigenvalues are rho and the AR root theta
@@ -257,6 +284,24 @@ class TestLimitSummary:
             assert s.Gamma[:p, :p] == pytest.approx(s.Sigma_theta, abs=1e-9)
             off = prm.theta[-1] * prm.rho * (J @ s.Sigma_theta @ e)
             assert s.Gamma[:p, p] == pytest.approx(off, abs=1e-9)
+
+    def test_each_check_runs_once(self, monkeypatch):
+        prm = params([0.4, -0.3, 0.2], 0.3)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ardw.limit_theory, "check_stability",
+                            counted("check_stability", ardw.check_stability))
+        monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            counted("eigvalsh", np.linalg.eigvalsh))
+        ardw.limit_summary(prm)
+        assert sorted(calls) == ["cond", "eigvalsh"]
 
     def test_gamma_singular_flag(self):
         # theta* last component vanishes exactly when theta = -rho at order 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestSizePowerStudy:
         parallel = ardw.size_power_study(cfg, workers=4).to_csv()
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_table(self, workers):
+        # the acceptance criterion 11 config; any change to the random
+        # streams or the tabulation shows here
+        cfg = ardw.StudyConfig(
+            params_list=(params([0.5], 0.0), params([0.4, -0.3], -0.5)),
+            n_list=(100, 300), reps=400, master_seed=808,
+        )
+        csv = ardw.size_power_study(cfg, workers=workers).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "42974f5902b6b282243a328d29c195d06e9c78a7cbb6ded5d305c3ae8b6282fd"
+        )
+
     def test_master_seed_changes_table(self):
         a = ardw.size_power_study(small_config(master_seed=1)).to_csv()
         b = ardw.size_power_study(small_config(master_seed=2)).to_csv()
@@ -154,6 +168,10 @@ class TestRateDiagnostic:
             limits.Sigma_theta
         )
         assert rel < 0.35
+
+    def test_checkpoints_beyond_path_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            ardw.rate_diagnostic(params([0.5], 0.0), n_max=500, checkpoints=(200, 600))
 
     def test_report_is_json_serializable(self):
         report = ardw.rate_diagnostic(params([0.5], 0.0), n_max=5000, seed=1)

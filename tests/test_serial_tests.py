@@ -67,6 +67,12 @@ class TestDistributionUtilities:
                 scipy.stats.norm.ppf(q), abs=1e-6
             )
 
+    def test_chi2_quantile_near_one(self):
+        for q in (1.0 - 1e-12, np.nextafter(1.0, 0.0)):
+            assert chi2_quantile(q) == pytest.approx(
+                scipy.stats.chi2.ppf(q, 1), abs=1e-6
+            )
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chi2_sf(-1.0)
@@ -190,6 +196,20 @@ class TestRunTests:
         assert "InapplicableH" in o.warnings
         assert not o.reject
         assert np.isnan(o.statistic)
+
+    def test_unknown_name_raises_before_any_test(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            ardw.serial_tests._TESTS, "dw_chi2", lambda *args: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="unknown test 'no_such_test'"):
+            run_tests(np.ones(101), make_fit(), names=("dw_chi2", "no_such_test"))
+        assert calls == []
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="level"):
+            run_tests(np.ones(101), make_fit(), level=level)
 
     def test_monotone_in_level(self):
         traj = ardw.simulate(params([0.5], 0.2), 800, seed=2)
