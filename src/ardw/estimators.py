@@ -9,20 +9,27 @@ h-statistic collapse to a closed form.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ArdwError,
     DegenerateResiduals,
-    NearZeroThetaP,
     SingularDesign,
     SingularToeplitz,
 )
 
 _COND_LIMIT = 1e14
+
+
+def _checked_solve(G, b, error: type[ArdwError], what: str) -> np.ndarray:
+    """Solve G z = b; raise `error` if cond(G) is not finite or > _COND_LIMIT."""
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise error(f"{what} singular (cond ~ {cond:.3g})")
+    return np.linalg.solve(G, b)
 
 
 def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
@@ -35,30 +42,24 @@ def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
     return L
 
 
-def ols_theta(
-    x: np.ndarray, p: int, ridge: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+def ols_theta(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Least squares estimate of the autoregressive coefficients.
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
-    ridge > 0 adds ridge * I to S for degenerate inputs; the default keeps
-    the estimator unbiased and raises SingularDesign instead. p < 1 or a
-    non-finite series raise ValueError.
+    A singular S raises SingularDesign. p < 1, or a series value that is not
+    finite or has magnitude >= 1e150, raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     if p < 1:
         raise ValueError(f"model order p must be >= 1, got {p}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series must contain only finite values")
+    if not np.all(np.abs(x) < 1e150):  # squares and their sums stay finite
+        raise ValueError("series must contain only finite values below 1e150")
     if x.shape[0] < p + 2:
         raise SingularDesign(f"series length {x.shape[0]} < p+2 = {p + 2}")
     L = lag_matrix(x, p)
-    S = L.T @ L + ridge * np.eye(p)
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularDesign(f"design Gram matrix singular (cond ~ {cond:.3g})")
+    S = L.T @ L
     rhs = L.T @ x[1:]
-    theta_hat = np.linalg.solve(S, rhs)
+    theta_hat = _checked_solve(S, rhs, SingularDesign, "design Gram matrix")
     resid = np.linalg.norm(S @ theta_hat - rhs, np.inf)
     if resid > 1e-10 * max(np.linalg.norm(rhs, np.inf), 1.0):
         raise SingularDesign(f"normal equations residual too large: {resid:.3g}")
@@ -129,24 +130,13 @@ class FitResult:
         return text
 
 
-def sigma2_hat(fit: FitResult) -> float:
-    """Noise variance estimate with the serial-correlation correction factor.
-
-    May be negative on short series; reported as-is (a warning is attached
-    by fit()) since only the large-sample limit is guaranteed.
-    """
-    tp = fit.theta_hat[-1]
-    if abs(tp) <= 1e-12:
-        raise NearZeroThetaP("p-th coefficient estimate is numerically zero")
-    mean_sq = float(fit.residuals @ fit.residuals) / fit.n
-    return (1.0 - fit.rho_hat**2 / tp**2) * mean_sq
-
-
-def fit(x: np.ndarray, p: int, ridge: float = 0.0) -> FitResult:
-    """Full estimation pipeline for one observed series."""
+def fit(x: np.ndarray, p: int) -> FitResult:
+    """Full estimation pipeline for one observed series. sigma2_hat is NaN
+    when theta_hat_p is numerically zero and may be negative on short series
+    (only its limit is guaranteed); a note in warnings flags either case."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0] - 1
-    theta_hat, S = ols_theta(x, p, ridge=ridge)
+    theta_hat, S = ols_theta(x, p)
     eps = residuals(x, theta_hat)
     rho_hat = ols_rho(eps)
     dw = dw_statistic(eps)
@@ -158,7 +148,7 @@ def fit(x: np.ndarray, p: int, ridge: float = 0.0) -> FitResult:
         s2 = np.nan
         notes.append("near_zero_theta_p")
     else:
-        s2 = (1.0 - rho_hat**2 / tp**2) * mean_sq
+        s2 = (1.0 - rho_hat * rho_hat / (tp * tp)) * mean_sq  # ** raises OverflowError
         if s2 < 0.0:
             notes.append("negative_sigma2_hat")
 
@@ -197,10 +187,7 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     n = x.shape[0] - 1
     S, Pi = sample_autocov_toeplitz(x, p)
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularToeplitz(f"sample Toeplitz matrix singular (cond ~ {cond:.3g})")
-    theta_yw = np.linalg.solve(S, Pi)
+    theta_yw = _checked_solve(S, Pi, SingularToeplitz, "sample Toeplitz matrix")
     s0 = S[0, 0]
     sigma2_yw = (s0 - float(Pi @ theta_yw)) / n
     var_theta1 = sigma2_yw * float(np.linalg.inv(S)[0, 0])

@@ -52,6 +52,12 @@ class StudyConfig:
             raise ValueError("reps must be >= 100")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
+        for name in self.tests:
+            if name not in TEST_NAMES:
+                raise ValueError(f"unknown test {name!r}")
+        for prm in self.params_list:
+            if any(n < prm.p + 2 for n in self.n_list):
+                raise ValueError(f"every n must be >= p+2 = {prm.p + 2}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "StudyConfig":
@@ -110,34 +116,26 @@ class PowerTable:
         raise KeyError((params_id, n, test_name))
 
 
-def _run_replication(config: StudyConfig, params_id: int, n: int, rep: int) -> dict:
-    """One simulate/fit/test cycle; returns per-test reject / inapplicable flags."""
-    params = config.params_list[params_id]
-    traj = simulate(
-        params, n, noise=config.noise,
-        seed=(config.master_seed, params_id, n, rep), burn_in=config.burn_in,
-    )
-    flags: dict[str, tuple[bool, bool]] = {}
-    try:
-        f = fit(traj.x, params.p)
-    except ArdwError:
-        return {name: (False, True) for name in config.tests}
-    for outcome in run_tests(traj.x, f, level=config.level, names=config.tests):
-        inapplicable = "inapplicable" in outcome.warnings
-        flags[outcome.name] = (outcome.reject and not inapplicable, inapplicable)
-    return flags
-
-
 def _run_chunk(args) -> Counter:
     """Counts keyed (test name, "reject" | "inapplicable") over a range of
-    replications of one (params, n) cell."""
+    replications of one (params, n) cell. A replication that fails to fit is
+    inapplicable for every test; an inapplicable outcome never rejects."""
     config, params_id, n, rep_range = args
+    params = config.params_list[params_id]
     counts = Counter()
     for rep in rep_range:
-        flags = _run_replication(config, params_id, n, rep)
-        for name, (reject, inapplicable) in flags.items():
-            counts[name, "reject"] += reject
-            counts[name, "inapplicable"] += inapplicable
+        traj = simulate(
+            params, n, noise=config.noise,
+            seed=(config.master_seed, params_id, n, rep), burn_in=config.burn_in,
+        )
+        try:
+            f = fit(traj.x, params.p)
+        except ArdwError:
+            counts.update((name, "inapplicable") for name in config.tests)
+            continue
+        for o in run_tests(traj.x, f, level=config.level, names=config.tests):
+            counts[o.name, "reject"] += o.reject
+            counts[o.name, "inapplicable"] += "inapplicable" in o.warnings
     return counts
 
 
@@ -263,24 +261,16 @@ def rate_diagnostic(
     n_max: int,
     seed: int = 0,
     noise: NoiseSpec | None = None,
-    checkpoints: tuple[int, ...] | None = None,
 ) -> dict:
     """Single-path rate diagnostics for the coefficient estimator.
 
     Tracks the log-averaged outer product of the estimation errors toward
     the asymptotic covariance (quadratic strong law) and the boundedness of
     the iterated-logarithm normalization n ||error||^2 / (2 log log n).
-    Default checkpoints are 8 log-spaced stages from min(1000, n_max) to
-    n_max; explicit checkpoints beyond n_max raise ValueError.
+    The checkpoints are 8 log-spaced stages from min(1000, n_max) to n_max.
     """
     limits = limit_summary(params)
-    if checkpoints is None:
-        checkpoints = tuple(
-            int(v)
-            for v in np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
-        )
-    elif any(cp > n_max for cp in checkpoints):
-        raise ValueError(f"checkpoints must not exceed n_max = {n_max}")
+    checkpoints = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
     traj = simulate(params, n_max, noise=noise, seed=seed)
     start = max(50, 10 * params.p)
     stages, theta = _theta_hat_path(traj.x, params.p, start)
@@ -290,7 +280,7 @@ def rate_diagnostic(
 
     rows = []
     tr_sigma = float(np.trace(limits.Sigma_theta))
-    for cp in checkpoints:
+    for cp in checkpoints.tolist():
         if cp <= start:
             continue
         i = cp - start

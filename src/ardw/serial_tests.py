@@ -22,7 +22,7 @@ from .errors import (
     NearZeroThetaP,
     SingularAuxiliaryRegression,
 )
-from .estimators import FitResult, lag_matrix
+from .estimators import FitResult, _checked_solve, lag_matrix
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -114,10 +114,10 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     """Durbin's h-statistic tested as a standard normal deviate.
 
     Raises InapplicableH when the variance correction exceeds 1/n, the
-    classical failure mode of the test on short series.
+    classical failure mode of the test on short series, or is undefined (NaN).
     """
     radicand = 1.0 - fit.n * fit.var_theta1_hat
-    if radicand <= 0.0:
+    if not radicand > 0.0:
         raise InapplicableH(
             f"nonpositive radicand 1 - n*var = {radicand:.3g}"
         )
@@ -154,23 +154,17 @@ def breusch_godfrey_test(
     residual (zero-padded), statistic n R^2 against chi-square."""
     x = np.asarray(x, dtype=float)
     eps = fit.residuals
-    n = fit.n
     L = lag_matrix(x, fit.p)
     Z = np.column_stack([L, eps[:-1]])
     y = eps[1:]
     tss = float(y @ y)
     if tss <= 0.0:
         raise DegenerateResiduals("zero residual energy")
-    G = Z.T @ Z
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularAuxiliaryRegression(
-            f"auxiliary Gram matrix singular (cond ~ {cond:.3g})"
-        )
-    coef = np.linalg.solve(G, Z.T @ y)
-    ess = float(coef @ (Z.T @ y))
-    r2 = ess / tss
-    stat = n * r2
+    Zy = Z.T @ y
+    coef = _checked_solve(
+        Z.T @ Z, Zy, SingularAuxiliaryRegression, "auxiliary Gram matrix"
+    )
+    stat = fit.n * (float(coef @ Zy) / tss)
     return _outcome("breusch_godfrey", stat, chi2_sf(max(stat, 0.0)), level)
 
 

@@ -60,14 +60,15 @@ class Trajectory:
     """Simulated sample path with full seed provenance.
 
     x and eps have length n+1 (indices 0..n); v holds the innovations
-    V_0..V_n where V_0 only feeds the initial noise value.
+    V_0..V_n where V_0 only feeds the initial noise value. A tuple seed (as
+    in studies) is stored as a list in the JSON sidecar.
     """
 
     x: np.ndarray
     eps: np.ndarray
     v: np.ndarray
     params: ModelParams
-    seed: int
+    seed: int | tuple[int, ...]
     burn_in: int = 0
 
     @property
@@ -123,7 +124,7 @@ def simulate(
     params: ModelParams,
     n: int,
     noise: NoiseSpec | None = None,
-    seed: int | tuple = 0,
+    seed: int | tuple[int, ...] = 0,
     burn_in: int = 0,
 ) -> Trajectory:
     """Generate X_0..X_n under the model recursion.

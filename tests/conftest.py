@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ardw import ModelParams
+
+# property tests are deterministic and bounded, so tier-1 stays reproducible
+# and fast: a fixed example sequence, no example database, no deadline
+settings.register_profile(
+    "ardw", derandomize=True, database=None, deadline=None, max_examples=150
+)
+settings.load_profile("ardw")
 
 
 def random_stable_params(rng: np.random.Generator, p: int | None = None) -> ModelParams:

@@ -172,6 +172,24 @@ class TestPowerCommand:
         assert "workers" in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"tests": ["dw_chi2", "no_such_test"]}, "unknown test"),
+         ({"n_list": [100, 3]}, "p+2")],
+        ids=["unknown_test", "n_below_p_plus_2"],
+    )
+    def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
+        cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],
+               "n_list": [100], "reps": 100, **change}
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "table.csv"
+        assert run(["power", "--config", str(cfg_path), "--output", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert message in err["message"]
+        assert not out.exists()
+
 
 class TestDiagnoseCommand:
     def test_clt(self, tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import ardw
-from ardw.errors import DegenerateResiduals, NearZeroThetaP, SingularDesign
-from ardw.estimators import FitResult, lag_matrix, sample_autocov_toeplitz
+from ardw.errors import DegenerateResiduals, SingularDesign, SingularToeplitz
+from ardw.estimators import lag_matrix, sample_autocov_toeplitz
 
 
 def params(theta, rho, sigma2=1.0):
@@ -80,10 +80,6 @@ class TestOlsTheta:
         with pytest.raises(ValueError, match=message):
             ardw.ols_theta(x, p)
 
-    def test_ridge_rescues_degenerate(self):
-        theta_hat, _ = ardw.ols_theta(np.ones(10), 2, ridge=1e-6)
-        assert np.all(np.isfinite(theta_hat))
-
 
 class TestResiduals:
     def test_zero_estimator(self):
@@ -122,26 +118,19 @@ class TestOlsRho:
 
 
 class TestSigma2Hat:
-    def _fit_with(self, eps, rho_hat, theta_p, n):
-        return FitResult(
-            p=1, n=n, theta_hat=np.array([theta_p]), residuals=np.asarray(eps),
-            rho_hat=rho_hat, sigma2_hat=np.nan, dw=2.0,
-            S_n=np.eye(1), var_theta1_hat=0.0,
-        )
-
-    def test_no_correction_when_rho_zero(self):
-        eps = np.array([1.0, 2.0, 3.0])
-        f = self._fit_with(eps, 0.0, 0.5, n=2)
-        assert ardw.sigma2_hat(f) == pytest.approx((eps @ eps) / 2)
-
-    def test_zero_residuals(self):
-        f = self._fit_with(np.zeros(5), 0.3, 0.5, n=4)
-        assert ardw.sigma2_hat(f) == 0.0
+    def test_corrected_formula(self):
+        x = ardw.simulate(STANDARD, 500, seed=13).x
+        f = ardw.fit(x, 2)
+        eps = f.residuals
+        expected = (1.0 - f.rho_hat**2 / f.theta_hat[-1] ** 2) * (eps @ eps) / f.n
+        assert f.sigma2_hat == pytest.approx(expected, rel=1e-14)
 
     def test_near_zero_theta_p(self):
-        f = self._fit_with(np.ones(5), 0.3, 1e-14, n=4)
-        with pytest.raises(NearZeroThetaP):
-            ardw.sigma2_hat(f)
+        # the lag-1 products of an alternating 0/1 series vanish, so theta_hat = 0
+        f = ardw.fit(np.array([1.0, 0.0, 1.0, 0.0, 1.0]), 1)
+        assert f.theta_hat[0] == 0.0
+        assert np.isnan(f.sigma2_hat)
+        assert "near_zero_theta_p" in f.warnings
 
     def test_consistency(self):
         prm = params([0.5], 0.3, sigma2=2.0)
@@ -201,6 +190,10 @@ class TestYuleWalker:
             gaps.append(np.linalg.norm(theta_yw - theta_ols))
         assert gaps[0] > gaps[2]
         assert gaps[2] < 1e-3
+
+    def test_singular_toeplitz(self):
+        with pytest.raises(SingularToeplitz):
+            ardw.yule_walker_fit(np.zeros(10), 2)
 
     def test_toeplitz_structure(self):
         x = np.arange(1.0, 8.0)

@@ -33,6 +33,19 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             small_config(level=1.5)
 
+    def test_unknown_test_name(self):
+        with pytest.raises(ValueError, match="unknown test 'no_such_test'"):
+            small_config(tests=("dw_chi2", "no_such_test"))
+
+    @pytest.mark.parametrize("n_list", [(3,), (100, 3)], ids=["only", "one_of_two"])
+    def test_n_below_p_plus_2_for_any_params(self, n_list):
+        # n = 3 suits p = 1 but not p = 2
+        ok = small_config(n_list=(3,))
+        assert ok.n_list == (3,)
+        with pytest.raises(ValueError, match=r"p\+2 = 4"):
+            small_config(params_list=(params([0.5], 0.0), params([0.4, -0.3], 0.0)),
+                         n_list=n_list)
+
     def test_from_json(self, tmp_path):
         raw = {
             "params_list": [
@@ -168,10 +181,6 @@ class TestRateDiagnostic:
             limits.Sigma_theta
         )
         assert rel < 0.35
-
-    def test_checkpoints_beyond_path_rejected(self):
-        with pytest.raises(ValueError, match="n_max"):
-            ardw.rate_diagnostic(params([0.5], 0.0), n_max=500, checkpoints=(200, 600))
 
     def test_report_is_json_serializable(self):
         report = ardw.rate_diagnostic(params([0.5], 0.0), n_max=5000, seed=1)

@@ -197,6 +197,17 @@ class TestRunTests:
         assert not o.reject
         assert np.isnan(o.statistic)
 
+    def test_singular_auxiliary_regression_inapplicable(self):
+        # theta_hat = 0 makes the residuals equal the series, so the lagged
+        # residual column repeats the lag column of the auxiliary regression
+        x = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        outcomes = run_tests(x, ardw.fit(x, 1), names=("breusch_godfrey",))
+        assert len(outcomes) == 1
+        o = outcomes[0]
+        assert o.warnings == ("inapplicable", "SingularAuxiliaryRegression")
+        assert not o.reject
+        assert np.isnan(o.p_value)
+
     def test_unknown_name_raises_before_any_test(self, monkeypatch):
         calls = []
         monkeypatch.setitem(
