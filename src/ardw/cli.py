@@ -109,9 +109,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.command == "limits":
             params = _params_from_args(args)
             if args.p is not None and args.p != params.p:
-                print(json.dumps({"error": "p does not match theta length"}),
-                      file=sys.stderr)
-                return 2
+                raise ValueError("p does not match theta length")
             print(json.dumps(limit_summary(params).to_dict(), indent=2))
 
         elif args.command == "simulate":
@@ -132,13 +130,15 @@ def run(argv: list[str] | None = None) -> int:
             outcomes = run_tests(x, fit(x, args.p), level=args.level, names=names)
             if args.format == "csv":
                 if args.output is None:
-                    print(json.dumps({"error": "--output required for csv"}),
-                          file=sys.stderr)
-                    return 2
+                    raise ValueError("--output required for csv")
                 outcomes_to_csv(outcomes, args.output)
             else:
-                for o in outcomes:
-                    print(o.to_json())
+                text = "".join(o.to_json() + "\n" for o in outcomes)
+                if args.output:
+                    with open(args.output, "w") as f:
+                        f.write(text)
+                else:
+                    sys.stdout.write(text)
 
         elif args.command == "power":
             config = StudyConfig.from_json(args.config)

@@ -123,11 +123,8 @@ class FitResult:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def fit(x: np.ndarray, p: int) -> FitResult:
@@ -155,6 +152,8 @@ def fit(x: np.ndarray, p: int) -> FitResult:
     # variance of the first coefficient under the no-correlation hypothesis,
     # for the h-statistic: sigma2_0 * [S^{-1}]_{11} with sigma2_0 = mean_sq
     var_theta1 = mean_sq * float(np.linalg.inv(S)[0, 0])
+    if not np.isfinite(var_theta1):  # a subnormal S passes the cond check
+        raise SingularDesign(f"variance of theta_hat_1 is {var_theta1}")
 
     return FitResult(
         p=p,

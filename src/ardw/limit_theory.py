@@ -59,7 +59,7 @@ class ModelParams:
 
 def check_stability(params: ModelParams) -> None:
     """Validate the open stability region and basic parameter sanity."""
-    if not np.all(np.isfinite(params.theta)) or not np.isfinite(params.rho):
+    if not np.all(np.isfinite([*params.theta, params.rho, params.sigma2])):
         raise ValueError("parameters must be finite")
     if np.linalg.norm(params.theta, 1) >= 1.0:
         raise UnstableTheta(

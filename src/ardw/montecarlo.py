@@ -48,6 +48,14 @@ class StudyConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        for name in ("params_list", "n_list", "tests"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, v in [("reps", self.reps), ("master_seed", self.master_seed),
+                        ("burn_in", self.burn_in), *(("n", n) for n in self.n_list)]:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.master_seed < 0 or self.burn_in < 0:
+            raise ValueError("master_seed and burn_in must be >= 0")
         if self.reps < 100:
             raise ValueError("reps must be >= 100")
         if not 0.0 < self.level < 1.0:
@@ -61,25 +69,17 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "StudyConfig":
+        """Read a JSON object keyed by field name. A missing or unknown key, or
+        a value of the wrong kind, raises ValueError."""
         raw = json.loads(Path(path).read_text())
-        params = tuple(
-            ModelParams(
-                p=e["p"], theta=np.array(e["theta"]), rho=e["rho"],
-                sigma2=e.get("sigma2", 1.0),
-            )
-            for e in raw["params_list"]
-        )
-        noise = NoiseSpec(**raw.get("noise", {}))
-        return cls(
-            params_list=params,
-            n_list=tuple(raw["n_list"]),
-            reps=raw.get("reps", 1000),
-            level=raw.get("level", 0.05),
-            noise=noise,
-            master_seed=raw.get("master_seed", 0),
-            tests=tuple(raw.get("tests", TEST_NAMES)),
-            burn_in=raw.get("burn_in", 0),
-        )
+        try:
+            return cls(**{
+                **raw,
+                "params_list": [ModelParams(**e) for e in raw["params_list"]],
+                "noise": NoiseSpec(**raw.get("noise", {})),
+            })
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed study config: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,8 @@ def clt_diagnostic(
     relative error of the scaled Durbin-Watson variance. When the asymptotic
     joint covariance is singular the joint check is skipped with a flag.
     """
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
     errs = np.empty((reps, params.p + 1))
     dw_errs = np.empty(reps)

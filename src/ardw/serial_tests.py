@@ -75,11 +75,8 @@ class TestOutcome:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_dict())
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:

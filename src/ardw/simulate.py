@@ -36,8 +36,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if not (self.sigma2 > 0.0):
-            raise ValueError("sigma2 must be > 0")
+        if not (0.0 < self.sigma2 < np.inf):
+            raise ValueError("sigma2 must be finite and > 0")
+        if not np.isfinite(self.df):
+            raise ValueError("df must be finite")
         if self.family == "student_t" and not (self.df > 4.0):
             raise ValueError("student_t noise needs df > 4 (finite 4th moment)")
 
@@ -61,7 +63,8 @@ class Trajectory:
 
     x and eps have length n+1 (indices 0..n); v holds the innovations
     V_0..V_n where V_0 only feeds the initial noise value. A tuple seed (as
-    in studies) is stored as a list in the JSON sidecar.
+    in studies) is stored as a list in the JSON sidecar and read back as a
+    tuple.
     """
 
     x: np.ndarray
@@ -105,13 +108,10 @@ class Trajectory:
             rows = list(csv.reader(f))
         data = np.array(rows[1:], dtype=float)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        params = ModelParams(
-            p=meta["p"], theta=np.array(meta["theta"]), rho=meta["rho"],
-            sigma2=meta["sigma2"],
-        )
+        seed, burn_in = meta.pop("seed"), meta.pop("burn_in")
         return cls(
-            x=data[:, 0], eps=data[:, 1], v=data[:, 2],
-            params=params, seed=meta["seed"], burn_in=meta["burn_in"],
+            x=data[:, 0], eps=data[:, 1], v=data[:, 2], params=ModelParams(**meta),
+            seed=tuple(seed) if isinstance(seed, list) else seed, burn_in=burn_in,
         )
 
 
@@ -136,6 +136,8 @@ def simulate(
     """
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if noise is None:
         noise = NoiseSpec(sigma2=params.sigma2)
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)

@@ -24,6 +24,8 @@ class TestLimits:
 
     def test_mismatched_p_is_usage_error(self, capsys):
         assert run(["limits", "--p", "2", "--theta", "0.5", "--rho", "0.3"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "p does not match theta length"}
 
     def test_unstable_is_numerical_error(self, capsys):
         assert run(["limits", "--theta", "0.7,0.6", "--rho", "0.0"]) == 3
@@ -89,12 +91,26 @@ class TestTestCommand:
         assert lines[1].startswith("dw_chi2,")
         assert lines[2].startswith("ljung_box,")
 
-    def test_csv_without_output_is_usage_error(self, tmp_path):
+    def test_json_output_to_file(self, tmp_path, capsys):
+        csv = tmp_path / "traj.csv"
+        out = tmp_path / "outcomes.jsonl"
+        run(["simulate", "--theta", "0.5", "--rho", "0.5", "--n", "300",
+             "--seed", "3", "--output", str(csv)])
+        assert run(["test", "--input", str(csv), "--p", "1"]) == 0
+        stdout = capsys.readouterr().out
+        assert run(["test", "--input", str(csv), "--p", "1",
+                    "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
+    def test_csv_without_output_is_usage_error(self, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
         run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "100",
              "--seed", "4", "--output", str(csv)])
         assert run(["test", "--input", str(csv), "--p", "1",
                     "--format", "csv"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "--output required for csv"}
 
 
 class TestErrorPaths:
@@ -131,6 +147,20 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert message in err["message"]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--burn-in", "-5"], "burn_in"),
+         (["--sigma2", "inf"], "finite"),
+         (["--noise", "student_t", "--df", "inf"], "df must be finite")],
+        ids=["burn_in_negative", "sigma2_inf", "df_inf"],
+    )
+    def test_bad_simulate_input_exit_2(self, tmp_path, capsys, extra, message):
+        csv = tmp_path / "traj.csv"
+        assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",
+                    "--output", str(csv), *extra]) == 2
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not csv.exists()
 
     def test_level_outside_unit_interval_exit_2(self, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
@@ -175,19 +205,49 @@ class TestPowerCommand:
     @pytest.mark.parametrize(
         "change, message",
         [({"tests": ["dw_chi2", "no_such_test"]}, "unknown test"),
-         ({"n_list": [100, 3]}, "p+2")],
-        ids=["unknown_test", "n_below_p_plus_2"],
+         ({"n_list": [100, 3]}, "p+2"),
+         ({"n_list": None}, "n_list"),
+         ({"params_list": None}, "params_list"),
+         ({"params_list": [{"theta": [0.4, -0.3], "rho": 0.0}]}, "'p'"),
+         ({"params_list": [{"p": 1, "theta": [0.5], "rho": 0.0,
+                            "sigma2": float("inf")}]}, "finite"),
+         ({"reps": "abc"}, "reps must be an integer"),
+         ({"reps": 100.5}, "reps must be an integer"),
+         ({"reps": True}, "reps must be an integer"),
+         ({"n_list": [100.5]}, "n must be an integer"),
+         ({"master_seed": 1.5}, "master_seed must be an integer"),
+         ({"master_seed": -1}, "master_seed"),
+         ({"burn_in": -4}, "burn_in"),
+         ({"noise": {"scale": 2}}, "'scale'"),
+         ({"noise": {"sigma2": float("inf")}}, "sigma2 must be finite"),
+         ({"noise": {"family": "student_t", "df": float("inf")}}, "df must be finite"),
+         ({"rps": 5000}, "'rps'")],
+        ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
+             "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
+             "reps_bool", "n_float", "master_seed_float", "master_seed_negative",
+             "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
+             "noise_df_inf", "misspelt_key"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],
                "n_list": [100], "reps": 100, **change}
         cfg_path = tmp_path / "study.json"
+        # a None value stands for a missing key
+        cfg = {k: v for k, v in cfg.items() if v is not None}
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "table.csv"
         assert run(["power", "--config", str(cfg_path), "--output", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert message in err["message"]
+        assert not out.exists()
+
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text("[1, 2]")
+        out = tmp_path / "table.csv"
+        assert run(["power", "--config", str(cfg_path), "--output", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert not out.exists()
 
 
@@ -201,6 +261,16 @@ class TestDiagnoseCommand:
         report = json.loads(out.read_text())
         assert report["kept"] == 300
         assert "rel_frobenius_joint" in report
+
+    @pytest.mark.parametrize("reps", ["0", "1", "-3"])
+    def test_clt_reps_below_two_exit_2(self, capsys, reps):
+        assert run(
+            ["diagnose", "--kind", "clt", "--theta", "0.5", "--rho", "0.3",
+             "--n", "50", "--reps", reps]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reps must be >= 2" in json.loads(captured.err)["message"]
 
     def test_rate(self, capsys):
         assert run(

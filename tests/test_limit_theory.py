@@ -59,8 +59,10 @@ class TestStability:
             ([0.0, 0.0], 0.3, 1.0, ZeroTheta),
             ([0.5], 0.3, -1.0, BadVariance),
             ([np.nan], 0.3, 1.0, ValueError),
+            ([0.5], 0.3, np.inf, ValueError),
         ],
-        ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan"],
+        ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan",
+             "inf_variance"],
     )
     def test_construction_enforces_region(self, theta, rho, sigma2, error):
         with pytest.raises(error):

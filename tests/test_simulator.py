@@ -103,6 +103,15 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(family="student_t", df=4.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"sigma2": np.inf}, {"sigma2": np.nan}, {"df": np.inf}],
+        ids=["sigma2_inf", "sigma2_nan", "df_inf"],
+    )
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**kw)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             NoiseSpec(family="cauchy")
@@ -129,3 +138,10 @@ class TestSerialization:
         assert back.seed == traj.seed
         assert back.burn_in == traj.burn_in
         assert back.params.theta == pytest.approx(traj.params.theta)
+
+    def test_tuple_seed_round_trip(self, tmp_path):
+        traj = ardw.simulate(STANDARD, 50, seed=(7, 0, 50, 3))
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        back = Trajectory.from_csv(path)
+        assert back.seed == traj.seed == (7, 0, 50, 3)
