@@ -44,8 +44,15 @@ def _default_seed() -> int:
     return int(os.environ.get("ARDW_SEED", "0"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so that it gets the JSON payload."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ardw",
         description="Durbin-Watson asymptotics for stable AR(p) processes "
         "with AR(1)-correlated noise",
@@ -99,13 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "limits":
             params = _params_from_args(args)
             if args.p is not None and args.p != params.p:
@@ -162,14 +164,12 @@ def run(argv: list[str] | None = None) -> int:
             else:
                 print(text)
 
-    except ArdwError as exc:
+    except SystemExit:  # --help; every parse error raises ValueError
+        return 0
+    except (ArdwError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 3
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ArdwError) else 2
     return 0
 
 

@@ -47,6 +47,7 @@ class ModelParams:
     sigma2: float = 1.0
 
     def __post_init__(self):
+        _check_integer("p", self.p)
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "p", int(self.p))
@@ -55,6 +56,12 @@ class ModelParams:
         if theta.ndim != 1 or theta.shape[0] != self.p or self.p < 1:
             raise ValueError(f"theta must be a vector of length p={self.p}")
         check_stability(self)
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (a bool included) with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_stability(params: ModelParams) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArdwError
 from .estimators import fit, lag_matrix
-from .limit_theory import LimitSummary, ModelParams, limit_summary
+from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, run_tests
 from .simulate import NoiseSpec, simulate
 
@@ -52,8 +52,7 @@ class StudyConfig:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, v in [("reps", self.reps), ("master_seed", self.master_seed),
                         ("burn_in", self.burn_in), *(("n", n) for n in self.n_list)]:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            _check_integer(name, v)
         if self.master_seed < 0 or self.burn_in < 0:
             raise ValueError("master_seed and burn_in must be >= 0")
         if self.reps < 100:
@@ -116,24 +115,31 @@ class PowerTable:
         raise KeyError((params_id, n, test_name))
 
 
+def _fits(params, n, noise, seeds, burn_in=0):
+    """(x, fit) for the path simulated from each seed in turn; the fit is None
+    where it raised ArdwError."""
+    for seed in seeds:
+        x = simulate(params, n, noise=noise, seed=seed, burn_in=burn_in).x
+        try:
+            f = fit(x, params.p)
+        except ArdwError:
+            f = None
+        yield x, f
+
+
 def _run_chunk(args) -> Counter:
     """Counts keyed (test name, "reject" | "inapplicable") over a range of
     replications of one (params, n) cell. A replication that fails to fit is
     inapplicable for every test; an inapplicable outcome never rejects."""
     config, params_id, n, rep_range = args
-    params = config.params_list[params_id]
+    seeds = ((config.master_seed, params_id, n, rep) for rep in rep_range)
     counts = Counter()
-    for rep in rep_range:
-        traj = simulate(
-            params, n, noise=config.noise,
-            seed=(config.master_seed, params_id, n, rep), burn_in=config.burn_in,
-        )
-        try:
-            f = fit(traj.x, params.p)
-        except ArdwError:
+    for x, f in _fits(config.params_list[params_id], n, config.noise, seeds,
+                      config.burn_in):
+        if f is None:
             counts.update((name, "inapplicable") for name in config.tests)
             continue
-        for o in run_tests(traj.x, f, level=config.level, names=config.tests):
+        for o in run_tests(x, f, level=config.level, names=config.tests):
             counts[o.name, "reject"] += o.reject
             counts[o.name, "inapplicable"] += "inapplicable" in o.warnings
     return counts
@@ -202,26 +208,18 @@ def clt_diagnostic(
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
-    errs = np.empty((reps, params.p + 1))
-    dw_errs = np.empty(reps)
-    kept = 0
-    for rep in range(reps):
-        traj = simulate(params, n, noise=noise, seed=(seed, rep))
-        try:
-            f = fit(traj.x, params.p)
-        except ArdwError:
-            continue
-        errs[kept, : params.p] = f.theta_hat - limits.theta_star
-        errs[kept, params.p] = f.rho_hat - limits.rho_star
-        dw_errs[kept] = f.dw - limits.d_star
-        kept += 1
-    errs = np.sqrt(n) * errs[:kept]
-    dw_errs = np.sqrt(n) * dw_errs[:kept]
+    seeds = ((seed, rep) for rep in range(reps))
+    fits = [f for _, f in _fits(params, n, noise, seeds) if f is not None]
+    errs = np.sqrt(n) * np.array([
+        [*(f.theta_hat - limits.theta_star), f.rho_hat - limits.rho_star]
+        for f in fits
+    ]).reshape(-1, params.p + 1)
+    dw_errs = np.sqrt(n) * np.array([f.dw - limits.d_star for f in fits])
 
     report = {
         "n": n,
         "reps": reps,
-        "kept": kept,
+        "kept": len(fits),
         "gamma_singular": limits.gamma_singular,
         "sigma2_D": limits.sigma2_D,
         "empirical_var_dw": float(np.var(dw_errs)),
@@ -241,21 +239,14 @@ def clt_diagnostic(
     return report
 
 
-def _theta_hat_path(
-    x: np.ndarray, p: int, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates at every stage k >= start along one path, via cumulative
-    Gram sums and a batched solve. Returns (stages, estimates)."""
-    n = x.shape[0] - 1
+def _theta_hat_path(x: np.ndarray, p: int, start: int) -> np.ndarray:
+    """Estimates at every stage k >= start along one path (row k - start),
+    via cumulative Gram sums and a batched solve."""
     L = lag_matrix(x, p)
     # S_{k-1} entries and numerator entries as running sums over j <= k-1
     gram = np.cumsum(L[:, :, None] * L[:, None, :], axis=0)
     num = np.cumsum(L * x[1:, None], axis=0)
-    stages = np.arange(start, n + 1)
-    S = gram[stages - 1]
-    rhs = num[stages - 1]
-    theta = np.linalg.solve(S, rhs[..., None])[..., 0]
-    return stages, theta
+    return np.linalg.solve(gram[start - 1:], num[start - 1:, :, None])[..., 0]
 
 
 def rate_diagnostic(
@@ -275,7 +266,7 @@ def rate_diagnostic(
     checkpoints = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
     traj = simulate(params, n_max, noise=noise, seed=seed)
     start = max(50, 10 * params.p)
-    stages, theta = _theta_hat_path(traj.x, params.p, start)
+    theta = _theta_hat_path(traj.x, params.p, start)
     err = theta - limits.theta_star
     outer = err[:, :, None] * err[:, None, :]
     cum_outer = np.cumsum(outer, axis=0)

@@ -200,13 +200,8 @@ def run_tests(
             out.append(_TESTS[name](x, fit, level))
         except (InapplicableH, NearZeroThetaP, DegenerateResiduals,
                 SingularAuxiliaryRegression) as exc:
-            out.append(
-                TestOutcome(
-                    name=name, statistic=float("nan"), p_value=float("nan"),
-                    level=level, reject=False,
-                    warnings=("inapplicable", type(exc).__name__),
-                )
-            )
+            out.append(_outcome(name, math.nan, math.nan, level,
+                                ("inapplicable", type(exc).__name__)))
     return out
 
 

@@ -130,9 +130,9 @@ def simulate(
     """Generate X_0..X_n under the model recursion.
 
     Pre-sample observations are zero and X_0 equals the initial noise value.
-    With burn_in = 0 the noise chain starts stationary (eps_0 = V_0/sqrt(1-rho^2));
-    with burn_in > 0 the noise chain alone is warmed up for burn_in steps, so
-    the observation recursion still holds exactly at every reported index.
+    The noise chain starts stationary (eps_0 = V_0/sqrt(1-rho^2)) burn_in
+    steps before the first reported index, so the observation recursion
+    holds exactly at every reported index.
     """
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
@@ -141,23 +141,14 @@ def simulate(
     if noise is None:
         noise = NoiseSpec(sigma2=params.sigma2)
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
-    rho, theta, p = params.rho, params.theta, params.p
+    rho = params.rho
 
-    if burn_in > 0:
-        warm = noise.draw(rng, burn_in)
-        e0 = warm[0] / np.sqrt(1.0 - rho * rho)
-        for w in warm[1:]:
-            e0 = rho * e0 + w
-        v = noise.draw(rng, n + 1)
-        eps0 = rho * e0 + v[0]
-    else:
-        v = noise.draw(rng, n + 1)
-        eps0 = v[0] / np.sqrt(1.0 - rho * rho)
-
-    eps = np.empty(n + 1)
-    eps[0] = eps0
-    eps[1:], _ = lfilter([1.0], [1.0, -rho], v[1:], zi=np.array([rho * eps0]))
+    v = noise.draw(rng, burn_in + n + 1)
+    eps = np.empty(burn_in + n + 1)
+    eps[0] = v[0] / np.sqrt(1.0 - rho * rho)
+    eps[1:], _ = lfilter([1.0], [1.0, -rho], v[1:], zi=np.array([rho * eps[0]]))
+    v, eps = v[burn_in:], eps[burn_in:]
     # observation recursion with zero pre-sample values, run in C
-    ar_poly = np.concatenate(([1.0], -theta))
+    ar_poly = np.concatenate(([1.0], -params.theta))
     x = lfilter([1.0], ar_poly, eps)
     return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)

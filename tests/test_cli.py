@@ -27,6 +27,14 @@ class TestLimits:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "p does not match theta length"}
 
+    def test_negative_first_coefficient_needs_equals_form(self, capsys):
+        assert run(["limits", "--theta=-0.3,0.2", "--rho", "0.1"]) == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == [-0.3, 0.2]
+        # with a space, "-0.3,0.2" reads as an option
+        assert run(["limits", "--theta", "-0.3,0.2", "--rho", "0.1"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "argument --theta: expected one argument"}
+
     def test_unstable_is_numerical_error(self, capsys):
         assert run(["limits", "--theta", "0.7,0.6", "--rho", "0.0"]) == 3
         err = json.loads(capsys.readouterr().err)
@@ -125,11 +133,28 @@ class TestErrorPaths:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope.csv"), "--p", "1"]) == 2
 
-    def test_unknown_command_exit_2(self):
+    def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "invalid choice: 'frobnicate'" in err["message"]
 
-    def test_missing_required_argument_exit_2(self):
+    def test_missing_required_argument_exit_2(self, capsys):
         assert run(["limits", "--theta", "0.5"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "the following arguments are required: --rho"}
+
+    def test_unparsable_option_value_exit_2(self, tmp_path, capsys):
+        assert run(["fit", "--input", str(tmp_path / "x.csv"), "--p", "two"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": "argument --p: invalid int value: 'two'"}
+
+    def test_help_exit_0(self, capsys):
+        assert run(["limits", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ardw limits")
 
     @pytest.mark.parametrize(
         "series, p, message",
@@ -221,12 +246,18 @@ class TestPowerCommand:
          ({"noise": {"scale": 2}}, "'scale'"),
          ({"noise": {"sigma2": float("inf")}}, "sigma2 must be finite"),
          ({"noise": {"family": "student_t", "df": float("inf")}}, "df must be finite"),
-         ({"rps": 5000}, "'rps'")],
+         ({"rps": 5000}, "'rps'"),
+         ({"params_list": [{"p": True, "theta": [0.5], "rho": 0.0}]},
+          "p must be an integer"),
+         ({"params_list": [{"p": 1.5, "theta": [0.5], "rho": 0.0}]},
+          "p must be an integer"),
+         ({"params_list": [{"p": "1", "theta": [0.5], "rho": 0.0}]},
+          "p must be an integer")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "master_seed_negative",
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
-             "noise_df_inf", "misspelt_key"],
+             "noise_df_inf", "misspelt_key", "p_bool", "p_float", "p_string"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],

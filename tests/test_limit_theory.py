@@ -52,21 +52,29 @@ class TestStability:
             ardw.check_stability(params([0.5], 0.3, sigma2=0.0))
 
     @pytest.mark.parametrize(
-        "theta, rho, sigma2, error",
+        "theta, rho, sigma2, error, p",
         [
-            ([0.6, 0.5], 0.0, 1.0, UnstableTheta),
-            ([0.5], -1.0, 1.0, UnstableRho),
-            ([0.0, 0.0], 0.3, 1.0, ZeroTheta),
-            ([0.5], 0.3, -1.0, BadVariance),
-            ([np.nan], 0.3, 1.0, ValueError),
-            ([0.5], 0.3, np.inf, ValueError),
+            ([0.6, 0.5], 0.0, 1.0, UnstableTheta, None),
+            ([0.5], -1.0, 1.0, UnstableRho, None),
+            ([0.0, 0.0], 0.3, 1.0, ZeroTheta, None),
+            ([0.5], 0.3, -1.0, BadVariance, None),
+            ([np.nan], 0.3, 1.0, ValueError, None),
+            ([0.5], 0.3, np.inf, ValueError, None),
+            ([0.5], 0.3, 1.0, ValueError, True),
+            ([0.5], 0.3, 1.0, ValueError, 1.5),
+            ([0.5], 0.3, 1.0, ValueError, "1"),
         ],
         ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan",
-             "inf_variance"],
+             "inf_variance", "p_bool", "p_float", "p_string"],
     )
-    def test_construction_enforces_region(self, theta, rho, sigma2, error):
+    def test_construction_enforces_region(self, theta, rho, sigma2, error, p):
+        p = len(theta) if p is None else p
         with pytest.raises(error):
-            params(theta, rho, sigma2)
+            ardw.ModelParams(p=p, theta=theta, rho=rho, sigma2=sigma2)
+
+    def test_numpy_integer_p_accepted(self):
+        prm = ardw.ModelParams(p=np.int64(2), theta=[0.4, -0.3], rho=0.2)
+        assert prm.p == 2 and type(prm.p) is int
 
 
 class TestBetaAlpha:

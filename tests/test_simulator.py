@@ -57,6 +57,27 @@ class TestSimulate:
     def test_recursion_holds_with_burn_in(self):
         assert_recursion(ardw.simulate(STANDARD, 200, seed=3, burn_in=500))
 
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(), NoiseSpec(family="uniform", sigma2=2.0),
+         NoiseSpec(family="student_t", df=6.0), NoiseSpec(family="rademacher")],
+        ids=["gaussian", "uniform", "student_t", "rademacher"],
+    )
+    @pytest.mark.parametrize("burn_in", [1, 2, 9, 40])
+    def test_burn_in_matches_scalar_warm_up(self, noise, burn_in):
+        # oracle: burn_in warm-up draws run through a scalar loop from the
+        # stationary start, then n+1 reported innovations
+        rng = derive_rng(5, 1)
+        warm = noise.draw(rng, burn_in)
+        e = warm[0] / np.sqrt(1.0 - STANDARD.rho ** 2)
+        for w in warm[1:]:
+            e = STANDARD.rho * e + w
+        v = noise.draw(rng, 61)
+        traj = ardw.simulate(STANDARD, 60, noise=noise, seed=(5, 1), burn_in=burn_in)
+        assert np.array_equal(traj.v, v)
+        assert traj.eps[0] == STANDARD.rho * e + v[0]
+        assert_recursion(traj)
+
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             ardw.simulate(STANDARD, 3)
