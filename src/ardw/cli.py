@@ -1,7 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: limits, simulate, fit, test, power, diagnose. Structured
-output is JSON (17 significant digits); series and tables are CSV.
+output is JSON, whose floats are Python's shortest round-trip repr; series
+and tables are CSV with 17 significant digits. Each result's text goes to
+the --output file when one is given and to stdout otherwise, so the file
+holds exactly the bytes the command would print.
 Exit codes: 0 success, 2 usage error, 3 numerical/degeneracy error (with a
 machine-readable JSON payload on stderr).
 """
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,10 +42,6 @@ def _params_from_args(args) -> ModelParams:
     )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("ARDW_SEED", "0"))
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ValueError, so that it gets the JSON payload."""
 
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rho", type=float, required=True)
     p_sim.add_argument("--sigma2", type=float, default=1.0)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--burn-in", type=int, default=0)
     p_sim.add_argument("--noise", default="gaussian",
                        choices=["gaussian", "uniform", "student_t", "rademacher"])
@@ -100,70 +98,66 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--rho", type=float, required=True)
     p_diag.add_argument("--n", type=int, required=True)
     p_diag.add_argument("--reps", type=int, default=1000)
-    p_diag.add_argument("--seed", type=int, default=None)
+    p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--output", default=None)
     return parser
+
+
+def _document(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _result_text(args) -> str:
+    """The text of a command's result: a JSON document, one JSON line per test
+    outcome, or CSV."""
+    if args.command == "limits":
+        params = _params_from_args(args)
+        if args.p is not None and args.p != params.p:
+            raise ValueError("p does not match theta length")
+        return _document(limit_summary(params).to_dict())
+    if args.command == "fit":
+        return _document(fit(read_series(args.input), args.p).to_dict())
+    if args.command == "test":
+        x = read_series(args.input)
+        names = TEST_NAMES if args.tests == "all" else tuple(args.tests.split(","))
+        outcomes = run_tests(x, fit(x, args.p), level=args.level, names=names)
+        if args.format == "json":
+            return "".join(json.dumps(o.to_dict()) + "\n" for o in outcomes)
+        if args.output is None:
+            raise ValueError("--output required for csv")
+        return outcomes_to_csv(outcomes)
+    if args.command == "power":
+        config = StudyConfig.from_json(args.config)
+        table = size_power_study(config, workers=args.workers)
+        if args.format == "csv":
+            return table.to_csv()
+        # no final newline, so power JSON files stay byte-identical with earlier ones
+        return json.dumps(list(table.rows), indent=2)
+    params = _params_from_args(args)  # diagnose
+    if args.kind == "clt":
+        return _document(clt_diagnostic(params, args.n, args.reps, seed=args.seed))
+    return _document(rate_diagnostic(params, args.n, seed=args.seed))
+
+
+def _emit(text: str, output: str | None) -> None:
+    """Write text to the output file if one is given, else to stdout."""
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        with open(output, "w") as f:
+            f.write(text)
 
 
 def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "limits":
+        if args.command == "simulate":
             params = _params_from_args(args)
-            if args.p is not None and args.p != params.p:
-                raise ValueError("p does not match theta length")
-            print(json.dumps(limit_summary(params).to_dict(), indent=2))
-
-        elif args.command == "simulate":
-            params = _params_from_args(args)
-            seed = args.seed if args.seed is not None else _default_seed()
             noise = NoiseSpec(family=args.noise, sigma2=args.sigma2, df=args.df)
-            traj = simulate(params, args.n, noise=noise, seed=seed,
-                            burn_in=args.burn_in)
-            traj.to_csv(args.output)
-
-        elif args.command == "fit":
-            x = read_series(args.input)
-            print(fit(x, args.p).to_json())
-
-        elif args.command == "test":
-            x = read_series(args.input)
-            names = TEST_NAMES if args.tests == "all" else tuple(args.tests.split(","))
-            outcomes = run_tests(x, fit(x, args.p), level=args.level, names=names)
-            if args.format == "csv":
-                if args.output is None:
-                    raise ValueError("--output required for csv")
-                outcomes_to_csv(outcomes, args.output)
-            else:
-                text = "".join(o.to_json() + "\n" for o in outcomes)
-                if args.output:
-                    with open(args.output, "w") as f:
-                        f.write(text)
-                else:
-                    sys.stdout.write(text)
-
-        elif args.command == "power":
-            config = StudyConfig.from_json(args.config)
-            table = size_power_study(config, workers=args.workers)
-            if args.format == "csv":
-                table.to_csv(args.output)
-            else:
-                table.to_json(args.output)
-
-        elif args.command == "diagnose":
-            params = _params_from_args(args)
-            seed = args.seed if args.seed is not None else _default_seed()
-            if args.kind == "clt":
-                report = clt_diagnostic(params, args.n, args.reps, seed=seed)
-            else:
-                report = rate_diagnostic(params, args.n, seed=seed)
-            text = json.dumps(report, indent=2)
-            if args.output:
-                with open(args.output, "w") as f:
-                    f.write(text)
-            else:
-                print(text)
-
+            simulate(params, args.n, noise=noise, seed=args.seed,
+                     burn_in=args.burn_in).to_csv(args.output)
+        else:
+            _emit(_result_text(args), getattr(args, "output", None))
     except SystemExit:  # --help; every parse error raises ValueError
         return 0
     except (ArdwError, OSError, ValueError) as exc:

@@ -8,7 +8,6 @@ h-statistic collapse to a closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +19,12 @@ from .errors import (
     SingularDesign,
     SingularToeplitz,
 )
+from .limit_theory import _symmetric_toeplitz
 
 _COND_LIMIT = 1e14
+
+#: |theta_hat_p| at or below which the p-th coefficient estimate counts as zero
+NEAR_ZERO_THETA_P = 1e-12
 
 
 def _checked_solve(G, b, error: type[ArdwError], what: str) -> np.ndarray:
@@ -86,14 +89,19 @@ def ols_rho(eps: np.ndarray) -> float:
     return float(eps[1:] @ eps[:-1]) / den
 
 
+def _residual_energy(eps: np.ndarray) -> float:
+    """eps . eps; raises DegenerateResiduals when it is zero."""
+    energy = float(eps @ eps)
+    if energy <= 0.0:
+        raise DegenerateResiduals("zero residual energy")
+    return energy
+
+
 def dw_statistic(eps: np.ndarray) -> float:
     """Durbin-Watson ratio; always in [0, 4]."""
     eps = np.asarray(eps, dtype=float)
-    den = float(eps @ eps)
-    if den <= 0.0:
-        raise DegenerateResiduals("zero residual energy")
     d = np.diff(eps)
-    return float(d @ d) / den
+    return float(d @ d) / _residual_energy(eps)
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,6 @@ class FitResult:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def fit(x: np.ndarray, p: int) -> FitResult:
     """Full estimation pipeline for one observed series. sigma2_hat is NaN
@@ -141,7 +146,7 @@ def fit(x: np.ndarray, p: int) -> FitResult:
 
     notes: list[str] = []
     tp = theta_hat[-1]
-    if abs(tp) <= 1e-12:
+    if abs(tp) <= NEAR_ZERO_THETA_P:
         s2 = np.nan
         notes.append("near_zero_theta_p")
     else:
@@ -173,8 +178,7 @@ def sample_autocov_toeplitz(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
     """Toeplitz Gram matrix of raw lag products and its first-p lag vector."""
     x = np.asarray(x, dtype=float)
     s = np.array([float(x[h:] @ x[: x.shape[0] - h]) for h in range(p + 1)])
-    idx = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    return s[idx], s[1 : p + 1]
+    return _symmetric_toeplitz(s, p), s[1 : p + 1]
 
 
 def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
@@ -196,11 +200,11 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
 def read_series(path: str | Path) -> np.ndarray:
     """One numeric value per line, optional single header line."""
     lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ValueError(f"empty series file: {path}")
     try:
         float(lines[0].split(",")[0])
         start = 0
-    except ValueError:
+    except (IndexError, ValueError):
         start = 1
+    if len(lines) <= start:  # no line at all, or a header alone
+        raise ValueError(f"empty series file: {path}")
     return np.array([float(ln.split(",")[0]) for ln in lines[start:]])

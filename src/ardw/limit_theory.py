@@ -138,6 +138,11 @@ def solve_lambda(B: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _symmetric_toeplitz(c: np.ndarray, m: int) -> np.ndarray:
+    """The m x m matrix whose (i, j) entry is c[|i - j|]."""
+    return c[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+
+
 def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
     """Symmetric Toeplitz matrix of order m built from lam_0..lam_{m-1}.
 
@@ -146,8 +151,7 @@ def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
     """
     if m > lam.shape[0]:
         raise ValueError(f"need at least {m} autocovariance values, got {lam.shape[0]}")
-    idx = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    delta = lam[idx]
+    delta = _symmetric_toeplitz(lam, m)
     eigmin = np.linalg.eigvalsh(delta)[0]
     if eigmin <= 0.0:
         raise NotPositiveDefinite(

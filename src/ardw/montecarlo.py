@@ -87,7 +87,7 @@ class PowerTable:
 
     rows: tuple[dict, ...]
 
-    def to_csv(self, path: str | Path | None = None) -> str:
+    def to_csv(self) -> str:
         lines = [
             "params_id,n,test_name,rejection_rate,inapplicable_rate,mc_stderr,reps"
         ]
@@ -97,16 +97,7 @@ class PowerTable:
                 f"{r['rejection_rate']:.17g},{r['inapplicable_rate']:.17g},"
                 f"{r['mc_stderr']:.17g},{r['reps']}"
             )
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(list(self.rows), indent=2)
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return "\n".join(lines) + "\n"
 
     def rate(self, params_id: int, n: int, test_name: str) -> float:
         for r in self.rows:
@@ -116,14 +107,14 @@ class PowerTable:
 
 
 def _fits(params, n, noise, seeds, burn_in=0):
-    """(x, fit) for the path simulated from each seed in turn; the fit is None
-    where it raised ArdwError."""
+    """(x, fit) for the path simulated from each seed in turn; in place of the
+    fit stands the ArdwError that it raised."""
     for seed in seeds:
         x = simulate(params, n, noise=noise, seed=seed, burn_in=burn_in).x
         try:
             f = fit(x, params.p)
-        except ArdwError:
-            f = None
+        except ArdwError as exc:
+            f = exc
         yield x, f
 
 
@@ -136,7 +127,7 @@ def _run_chunk(args) -> Counter:
     counts = Counter()
     for x, f in _fits(config.params_list[params_id], n, config.noise, seeds,
                       config.burn_in):
-        if f is None:
+        if isinstance(f, ArdwError):
             counts.update((name, "inapplicable") for name in config.tests)
             continue
         for o in run_tests(x, f, level=config.level, names=config.tests):
@@ -204,12 +195,18 @@ def clt_diagnostic(
     Reports the relative Frobenius error of the joint covariance and the
     relative error of the scaled Durbin-Watson variance. When the asymptotic
     joint covariance is singular the joint check is skipped with a flag.
+    Fewer than 2 successful fits raise ArdwError.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
     seeds = ((seed, rep) for rep in range(reps))
-    fits = [f for _, f in _fits(params, n, noise, seeds) if f is not None]
+    results = [f for _, f in _fits(params, n, noise, seeds)]
+    fits = [f for f in results if not isinstance(f, ArdwError)]
+    if len(fits) < 2:
+        first = next(f for f in results if isinstance(f, ArdwError))
+        raise ArdwError(f"kept {len(fits)} of {reps} fits, need 2; first failure: "
+                        f"{type(first).__name__}: {first}")
     errs = np.sqrt(n) * np.array([
         [*(f.theta_hat - limits.theta_star), f.rho_hat - limits.rho_star]
         for f in fits
@@ -260,12 +257,16 @@ def rate_diagnostic(
     Tracks the log-averaged outer product of the estimation errors toward
     the asymptotic covariance (quadratic strong law) and the boundedness of
     the iterated-logarithm normalization n ||error||^2 / (2 log log n).
-    The checkpoints are 8 log-spaced stages from min(1000, n_max) to n_max.
+    The checkpoints are 8 log-spaced stages from min(1000, n_max) to n_max,
+    past the first estimation stage max(50, 10p); n_max must exceed that stage.
     """
+    start = max(50, 10 * params.p)
+    if n_max <= start:
+        raise ValueError(f"n_max must be > the first estimation stage {start}, "
+                         f"got {n_max}")
     limits = limit_summary(params)
     checkpoints = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
     traj = simulate(params, n_max, noise=noise, seed=seed)
-    start = max(50, 10 * params.p)
     theta = _theta_hat_path(traj.x, params.p, start)
     err = theta - limits.theta_star
     outer = err[:, :, None] * err[:, None, :]

@@ -7,10 +7,8 @@ test, all reported through a common outcome record.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +20,9 @@ from .errors import (
     NearZeroThetaP,
     SingularAuxiliaryRegression,
 )
-from .estimators import FitResult, _checked_solve, lag_matrix
+from .estimators import (
+    NEAR_ZERO_THETA_P, FitResult, _checked_solve, _residual_energy, lag_matrix,
+)
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -75,9 +75,6 @@ class TestOutcome:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:
     pval = min(max(pval, 0.0), 1.0)
@@ -95,7 +92,7 @@ def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     p-th coefficient to be away from zero.
     """
     tp = fit.theta_hat[-1]
-    if abs(tp) <= 1e-12:
+    if abs(tp) <= NEAR_ZERO_THETA_P:
         raise NearZeroThetaP("p-th coefficient estimate is numerically zero")
     warns = list(fit.warnings)
     se_tp = math.sqrt(max(fit.var_theta1_hat, 0.0))
@@ -124,10 +121,7 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
 
 def _r1(eps: np.ndarray) -> float:
     eps = np.asarray(eps, dtype=float)
-    den = float(eps @ eps)
-    if den <= 0.0:
-        raise DegenerateResiduals("zero residual energy")
-    return float(eps[1:] @ eps[:-1]) / den
+    return float(eps[1:] @ eps[:-1]) / _residual_energy(eps)
 
 
 def box_pierce_test(eps: np.ndarray, level: float = 0.05) -> TestOutcome:
@@ -154,9 +148,7 @@ def breusch_godfrey_test(
     L = lag_matrix(x, fit.p)
     Z = np.column_stack([L, eps[:-1]])
     y = eps[1:]
-    tss = float(y @ y)
-    if tss <= 0.0:
-        raise DegenerateResiduals("zero residual energy")
+    tss = _residual_energy(y)
     Zy = Z.T @ y
     coef = _checked_solve(
         Z.T @ Z, Zy, SingularAuxiliaryRegression, "auxiliary Gram matrix"
@@ -205,11 +197,11 @@ def run_tests(
     return out
 
 
-def outcomes_to_csv(outcomes: list[TestOutcome], path: str | Path) -> None:
+def outcomes_to_csv(outcomes: list[TestOutcome]) -> str:
     lines = ["name,statistic,p_value,reject,warnings"]
     for o in outcomes:
         lines.append(
             f"{o.name},{o.statistic:.17g},{o.p_value:.17g},"
             f"{int(o.reject)},{';'.join(o.warnings)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

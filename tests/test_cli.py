@@ -62,14 +62,15 @@ class TestSimulateFitRoundTrip:
         assert out["rho_hat"] == pytest.approx(f.rho_hat)
         assert out["dw"] == pytest.approx(f.dw)
 
-    def test_seed_env_var(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("ARDW_SEED", "99")
-        run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",
-             "--output", str(a)])
-        run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",
-             "--seed", "99", "--output", str(b)])
+        assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",
+                    "--output", str(a)]) == 0
+        assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",
+                    "--seed", "0", "--output", str(b)]) == 0
         assert a.read_text() == b.read_text()
+        assert (a.with_suffix(".csv.json").read_text()
+                == b.with_suffix(".csv.json").read_text())
 
 
 class TestTestCommand:
@@ -162,8 +163,9 @@ class TestErrorPaths:
             ("0.1\n0.5\n-0.2\n0.3\n0.7\n", "0", "p must be >= 1"),
             ("0.1\n0.5\n-0.2\n0.3\n0.7\n", "-1", "p must be >= 1"),
             ("0.1\n0.5\nnan\n0.3\n0.7\n", "1", "finite"),
+            ("x\n", "1", "empty series file"),
         ],
-        ids=["p_zero", "p_negative", "nan_in_series"],
+        ids=["p_zero", "p_negative", "nan_in_series", "header_only"],
     )
     def test_bad_fit_input_exit_2(self, tmp_path, capsys, series, p, message):
         path = tmp_path / "series.csv"
@@ -311,6 +313,27 @@ class TestDiagnoseCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_max"] == 5000
         assert report["checkpoints"]
+
+    @pytest.mark.parametrize("n", ["30", "50"])
+    def test_rate_not_past_first_stage_exit_2(self, capsys, n):
+        assert run(
+            ["diagnose", "--kind", "rate", "--theta", "0.5", "--rho", "0.2",
+             "--n", n]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "first estimation stage 50" in json.loads(captured.err)["message"]
+
+    @pytest.mark.parametrize("kind", ["clt", "rate"])
+    def test_output_file_equals_stdout(self, tmp_path, capsys, kind):
+        argv = ["diagnose", "--kind", kind, "--theta", "0.5", "--rho", "0.3",
+                "--n", "200", "--reps", "20", "--seed", "4"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert run([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
     def test_rate_shorter_than_default_checkpoints(self, capsys):
         assert run(

@@ -253,7 +253,7 @@ class TestFit:
         import json
 
         f = ardw.fit(ardw.simulate(STANDARD, 200, seed=12).x, 2)
-        data = json.loads(f.to_json())
+        data = json.loads(json.dumps(f.to_dict()))
         assert data["theta_hat"] == pytest.approx(f.theta_hat.tolist())
         assert data["dw"] == pytest.approx(f.dw)
 

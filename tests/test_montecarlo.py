@@ -1,10 +1,14 @@
 import hashlib
 import json
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import ardw
+from ardw.cli import run
+from ardw.errors import ArdwError
 from ardw.montecarlo import DEFAULT_SUITE, _theta_hat_path
 from ardw.simulate import NoiseSpec
 
@@ -136,17 +140,25 @@ class TestSizePowerStudy:
         assert a != b
 
     def test_csv_and_json_outputs(self, tmp_path):
+        # the two forms `ardw power` writes
         table = ardw.size_power_study(small_config(reps=100))
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({
+            "params_list": [{"p": 1, "theta": [0.5], "rho": rho} for rho in (0.0, 0.5)],
+            "n_list": [100], "reps": 100, "master_seed": 42,
+        }))
         csv_path = tmp_path / "table.csv"
         json_path = tmp_path / "table.json"
-        table.to_csv(csv_path)
-        table.to_json(json_path)
+        assert run(["power", "--config", str(cfg_path), "--output", str(csv_path)]) == 0
+        assert run(["power", "--config", str(cfg_path), "--output", str(json_path),
+                    "--format", "json"]) == 0
+        assert csv_path.read_text() == table.to_csv()
         header = csv_path.read_text().splitlines()[0]
         assert header == (
             "params_id,n,test_name,rejection_rate,inapplicable_rate,mc_stderr,reps"
         )
         rows = json.loads(json_path.read_text())
-        assert len(rows) == len(table.rows)
+        assert rows == list(table.rows)
         assert rows[0]["test_name"] == "dw_chi2"
 
 
@@ -167,7 +179,32 @@ class TestCltDiagnostic:
         assert np.isnan(report["rel_frobenius_joint"])
 
 
+    def test_fewer_than_two_fits_raise(self):
+        # every path is zero, so every fit fails
+        @dataclass(frozen=True)
+        class ZeroNoise(NoiseSpec):
+            def draw(self, rng, size):
+                return np.zeros(size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArdwError, match=r"kept 0 of 20 fits, need 2; "
+                               r"first failure: SingularDesign: design Gram"):
+                ardw.clt_diagnostic(params([0.5], 0.3), n=50, reps=20,
+                                    noise=ZeroNoise())
+
+
 class TestRateDiagnostic:
+    @pytest.mark.parametrize("theta, n_max", [([0.5], 30), ([0.5], 50), ([0.1] * 6, 60)],
+                             ids=["p1_n30", "p1_n50", "p6_n60"])
+    def test_path_not_past_first_stage_rejected(self, theta, n_max):
+        with pytest.raises(ValueError, match="first estimation stage"):
+            ardw.rate_diagnostic(params(theta, 0.0), n_max=n_max)
+
+    def test_one_step_past_first_stage(self):
+        report = ardw.rate_diagnostic(params([0.1] * 6, 0.0), n_max=61)
+        assert [row["n"] for row in report["checkpoints"]] == [61]
+
     def test_theta_hat_path_matches_full_fits(self):
         traj = ardw.simulate(params([0.4, -0.3], 0.2), 200, seed=6)
         theta = _theta_hat_path(traj.x, 2, start=50)

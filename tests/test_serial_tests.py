@@ -246,17 +246,17 @@ class TestSerialization:
         out = dw_chi2_test(make_fit(var_theta1=0.0))
         import json
 
-        d = json.loads(out.to_json())
+        d = json.loads(json.dumps(out.to_dict()))
         assert d["name"] == "dw_chi2"
         assert d["level"] == 0.05
         assert isinstance(d["reject"], bool)
 
-    def test_outcomes_csv(self, tmp_path):
+    def test_outcomes_csv(self):
         traj = ardw.simulate(params([0.5], 0.0), 300, seed=4)
         outcomes = run_tests(traj.x, ardw.fit(traj.x, 1))
-        path = tmp_path / "outcomes.csv"
-        ardw.outcomes_to_csv(outcomes, path)
-        lines = path.read_text().strip().splitlines()
+        text = ardw.outcomes_to_csv(outcomes)
+        assert text.endswith("\n")
+        lines = text.strip().splitlines()
         assert lines[0] == "name,statistic,p_value,reject,warnings"
         assert len(lines) == 1 + len(TEST_NAMES)
 
