@@ -1,10 +1,12 @@
 """Batch command-line surface.
 
-Subcommands: limits, simulate, fit, test, power, diagnose. Structured
-output is JSON, whose floats are Python's shortest round-trip repr; series
-and tables are CSV with 17 significant digits. Each result's text goes to
-the --output file when one is given and to stdout otherwise, so the file
-holds exactly the bytes the command would print.
+Subcommands: limits, simulate, fit, test, power, diagnose. Results are
+strict JSON (shortest round-trip floats; NaN or infinity as null, so a test
+that could not run shows reject false and "inapplicable" in its warnings)
+or CSV (17 significant digits, LF line ends), and every text ends with a
+newline. Each result's text goes to the --output file when one is given and
+to stdout otherwise, so the file holds exactly the bytes the command would
+print. power --workers above the CPU count runs at the CPU count.
 Exit codes: 0 success, 2 usage error, 3 numerical/degeneracy error (with a
 machine-readable JSON payload on stderr).
 """
@@ -12,8 +14,8 @@ machine-readable JSON payload on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .montecarlo import (
 )
 from .serial_tests import TEST_NAMES, outcomes_to_csv, run_tests
 from .simulate import NoiseSpec, simulate
+from .text import json_text
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -103,10 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _document(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _result_text(args) -> str:
     """The text of a command's result: a JSON document, one JSON line per test
     outcome, or CSV."""
@@ -114,15 +113,15 @@ def _result_text(args) -> str:
         params = _params_from_args(args)
         if args.p is not None and args.p != params.p:
             raise ValueError("p does not match theta length")
-        return _document(limit_summary(params).to_dict())
+        return json_text(limit_summary(params).to_dict())
     if args.command == "fit":
-        return _document(fit(read_series(args.input), args.p).to_dict())
+        return json_text(fit(read_series(args.input), args.p).to_dict())
     if args.command == "test":
         x = read_series(args.input)
         names = TEST_NAMES if args.tests == "all" else tuple(args.tests.split(","))
         outcomes = run_tests(x, fit(x, args.p), level=args.level, names=names)
         if args.format == "json":
-            return "".join(json.dumps(o.to_dict()) + "\n" for o in outcomes)
+            return "".join(json_text(o.to_dict(), indent=None) for o in outcomes)
         if args.output is None:
             raise ValueError("--output required for csv")
         return outcomes_to_csv(outcomes)
@@ -131,12 +130,11 @@ def _result_text(args) -> str:
         table = size_power_study(config, workers=args.workers)
         if args.format == "csv":
             return table.to_csv()
-        # no final newline, so power JSON files stay byte-identical with earlier ones
-        return json.dumps(list(table.rows), indent=2)
+        return json_text(list(table.rows))
     params = _params_from_args(args)  # diagnose
     if args.kind == "clt":
-        return _document(clt_diagnostic(params, args.n, args.reps, seed=args.seed))
-    return _document(rate_diagnostic(params, args.n, seed=args.seed))
+        return json_text(clt_diagnostic(params, args.n, args.reps, seed=args.seed))
+    return json_text(rate_diagnostic(params, args.n, seed=args.seed))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -144,8 +142,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as f:
-            f.write(text)
+        Path(output).write_text(text)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -161,8 +158,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit:  # --help; every parse error raises ValueError
         return 0
     except (ArdwError, OSError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+        sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)},
+                                   indent=None))
         return 3 if isinstance(exc, ArdwError) else 2
     return 0
 

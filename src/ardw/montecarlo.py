@@ -9,6 +9,7 @@ worker count or scheduling order.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -22,6 +23,7 @@ from .estimators import fit, lag_matrix
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, run_tests
 from .simulate import NoiseSpec, simulate
+from .text import csv_text
 
 #: documented default parameter sets spanning orders 1..3 and
 #: positive/negative serial correlation
@@ -81,6 +83,10 @@ class StudyConfig:
             raise ValueError(f"malformed study config: {exc!r}") from exc
 
 
+_COLUMNS = ("params_id", "n", "test_name", "rejection_rate", "inapplicable_rate",
+            "mc_stderr", "reps")
+
+
 @dataclass(frozen=True)
 class PowerTable:
     """Rejection frequencies per (parameter set, sample size, test)."""
@@ -88,16 +94,7 @@ class PowerTable:
     rows: tuple[dict, ...]
 
     def to_csv(self) -> str:
-        lines = [
-            "params_id,n,test_name,rejection_rate,inapplicable_rate,mc_stderr,reps"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r['params_id']},{r['n']},{r['test_name']},"
-                f"{r['rejection_rate']:.17g},{r['inapplicable_rate']:.17g},"
-                f"{r['mc_stderr']:.17g},{r['reps']}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(_COLUMNS, ([r[c] for c in _COLUMNS] for r in self.rows))
 
     def rate(self, params_id: int, n: int, test_name: str) -> float:
         for r in self.rows:
@@ -142,10 +139,11 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     Deterministic for a fixed master_seed whatever the worker count:
     replication seeds depend only on their grid coordinates and results are
     merged in grid order. workers > 1 runs the chunks on one process pool
-    for the whole study.
+    for the whole study, of at most os.cpu_count() processes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     cells = [
         (params_id, n)
         for params_id in range(len(config.params_list))
@@ -168,17 +166,10 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     for (params_id, n), counts in totals.items():
         for name in config.tests:
             r = counts[name, "reject"] / config.reps
-            rows.append(
-                {
-                    "params_id": params_id,
-                    "n": n,
-                    "test_name": name,
-                    "rejection_rate": r,
-                    "inapplicable_rate": counts[name, "inapplicable"] / config.reps,
-                    "mc_stderr": float(np.sqrt(r * (1.0 - r) / config.reps)),
-                    "reps": config.reps,
-                }
-            )
+            rows.append(dict(zip(_COLUMNS, (
+                params_id, n, name, r, counts[name, "inapplicable"] / config.reps,
+                float(np.sqrt(r * (1.0 - r) / config.reps)), config.reps,
+            ))))
     return PowerTable(rows=tuple(rows))
 
 

@@ -23,6 +23,7 @@ from .errors import (
 from .estimators import (
     NEAR_ZERO_THETA_P, FitResult, _checked_solve, _residual_energy, lag_matrix,
 )
+from .text import csv_text
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -198,10 +199,8 @@ def run_tests(
 
 
 def outcomes_to_csv(outcomes: list[TestOutcome]) -> str:
-    lines = ["name,statistic,p_value,reject,warnings"]
-    for o in outcomes:
-        lines.append(
-            f"{o.name},{o.statistic:.17g},{o.p_value:.17g},"
-            f"{int(o.reject)},{';'.join(o.warnings)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ("name", "statistic", "p_value", "reject", "warnings"),
+        ((o.name, o.statistic, o.p_value, int(o.reject), ";".join(o.warnings))
+         for o in outcomes),
+    )

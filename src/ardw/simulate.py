@@ -8,7 +8,6 @@ SeedSequence spawning keys, so results never depend on scheduling.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .limit_theory import ModelParams
+from .text import csv_text, json_text
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
 
@@ -74,21 +74,10 @@ class Trajectory:
     seed: int | tuple[int, ...]
     burn_in: int = 0
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0] - 1
-
     def to_csv(self, path: str | Path) -> None:
-        """Series to CSV plus a JSON sidecar with parameters and seed.
-
-        17 significant digits make the round-trip bit-exact.
-        """
+        """Series to CSV plus a JSON sidecar with parameters and seed."""
         path = Path(path)
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["x", "eps", "v"])
-            for xi, ei, vi in zip(self.x, self.eps, self.v):
-                w.writerow([f"{xi:.17g}", f"{ei:.17g}", f"{vi:.17g}"])
+        path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
         sidecar = {
             "p": self.params.p,
             "theta": self.params.theta.tolist(),
@@ -97,16 +86,12 @@ class Trajectory:
             "seed": self.seed,
             "burn_in": self.burn_in,
         }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, indent=2)
-        )
+        path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Trajectory":
         path = Path(path)
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-        data = np.array(rows[1:], dtype=float)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         seed, burn_in = meta.pop("seed"), meta.pop("burn_in")
         return cls(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -108,6 +109,30 @@ class TestSizePowerStudy:
         parallel = ardw.size_power_study(cfg, workers=4).to_csv()
         assert serial == parallel
 
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process, so
+        # the huge worker count starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ardw.montecarlo, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(reps=100)
+        table = ardw.size_power_study(cfg, workers=10**6)
+        assert all(size <= os.cpu_count() for size in sizes)
+        assert table == ardw.size_power_study(cfg, workers=1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_table(self, workers):
         # the acceptance criterion 11 config; any change to the random
@@ -157,6 +182,7 @@ class TestSizePowerStudy:
         assert header == (
             "params_id,n,test_name,rejection_rate,inapplicable_rate,mc_stderr,reps"
         )
+        assert json_path.read_text().endswith("]\n")
         rows = json.loads(json_path.read_text())
         assert rows == list(table.rows)
         assert rows[0]["test_name"] == "dw_chi2"

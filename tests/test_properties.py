@@ -231,20 +231,53 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
 
 
+#: the files a call may write; outcomes and table hold CSV or JSON by --format
+OUTPUTS = ("traj.csv", "traj.csv.json", "outcomes", "table", "report.json")
+ALTERNATING = {"series.csv": "1\n0\n1\n0\n1"}
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @settings(max_examples=60)
 @given(cli_call())
+# a NaN sigma2_hat, NaN statistics of inapplicable tests, and the NaN joint
+# error of a singular asymptotic covariance
+@example(call=(["fit", "--input", "@series.csv", "--p", "1"], ALTERNATING))
+@example(call=(["test", "--input", "@series.csv", "--p", "1"], ALTERNATING))
+@example(call=(["diagnose", "--kind", "clt", "--theta=0.5", "--rho=-0.5",
+                "--n", "200", "--reps", "100"], {}))
 def test_cli_exit_codes_and_payloads(workdir, call):
     argv, files = call
     for name, text in files.items():
         (workdir / name).write_text(text)
-    table = workdir / "table"
-    table.unlink(missing_ok=True)
+    for name in OUTPUTS:
+        (workdir / name).unlink(missing_ok=True)
     argv = [str(workdir / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in (0, 2, 3)
     if code != 0:
-        assert set(json.loads(err.getvalue())) == {"error", "message"}
-    if code != 0 and argv[0] == "power":
-        assert not table.exists()
+        assert set(strict_json(err.getvalue())) == {"error", "message"}
+        assert argv[0] != "power" or not (workdir / "table").exists()
+        return
+    # every text printed or written ends with a newline, and is strict JSON
+    # (one document per line for test) or CSV with LF line ends
+    fmt = (argv[argv.index("--format") + 1] if "--format" in argv
+           else {"test": "json", "power": "csv"}.get(argv[0]))
+    texts = {"stdout": out.getvalue()}
+    texts.update({name: (workdir / name).read_bytes().decode()
+                  for name in OUTPUTS if (workdir / name).exists()})
+    for name, text in texts.items():
+        if name == "stdout" and not text:
+            continue
+        assert text.endswith("\n") and "\r" not in text
+        if name == "traj.csv" or (name in ("outcomes", "table") and fmt == "csv"):
+            continue
+        for doc in text.splitlines() if argv[0] == "test" else [text]:
+            strict_json(doc)

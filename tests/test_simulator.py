@@ -148,10 +148,15 @@ class TestNoiseSpec:
 
 
 class TestSerialization:
-    def test_csv_round_trip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_csv_round_trip_bit_exact(self, tmp_path, newline):
+        # to_csv ends lines with LF; files written with CRLF line ends still load
         traj = ardw.simulate(STANDARD, 50, seed=13, burn_in=10)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
+        text = path.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n")
+        path.write_bytes(text.replace("\n", newline).encode())
         back = Trajectory.from_csv(path)
         assert np.array_equal(back.x, traj.x)
         assert np.array_equal(back.eps, traj.eps)
