@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the first error of
+each row of a block."""
+
+import numpy as np
 
 
 class ArdwError(Exception):
@@ -59,3 +62,33 @@ class SingularAuxiliaryRegression(ArdwError):
 
 class DomainError(ArdwError):
     """Argument outside the mathematical domain of a distribution utility."""
+
+
+class RowErrors:
+    """The first error of each row of a block, or, made without a row count,
+    of one series, which raises it at once. Checks are added in the order in
+    which they run, each as a row mask with its error type and message (a
+    str, or a function of the row index giving one)."""
+
+    def __init__(self, rows: int | None = None):
+        self.failed = np.zeros(() if rows is None else rows, dtype=bool)
+        self._one = rows is None
+        self._checks = []
+
+    def add(self, mask, error: type[Exception], message) -> None:
+        first = mask & ~self.failed
+        if first.any():
+            if self._one:
+                raise error(message(()) if callable(message) else message)
+            self._checks.append((first, error, message))
+            self.failed |= first
+
+    def error(self, row: int) -> Exception | None:
+        for mask, error, message in self._checks:
+            if mask[row]:
+                return error(message(row) if callable(message) else message)
+        return None
+
+
+#: the errors of one series: each is raised at once, so it never changes
+SERIES = RowErrors()

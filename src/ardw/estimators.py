@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    SERIES,
     ArdwError,
     DegenerateResiduals,
+    RowErrors,
     SingularDesign,
     SingularToeplitz,
 )
@@ -26,87 +28,106 @@ _COND_LIMIT = 1e14
 #: |theta_hat_p| at or below which the p-th coefficient estimate counts as zero
 NEAR_ZERO_THETA_P = 1e-12
 
-
-def _checked_solve(G, b, error: type[ArdwError], what: str) -> np.ndarray:
-    """Solve G z = b; raise `error` if cond(G) is not finite or > _COND_LIMIT."""
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise error(f"{what} singular (cond ~ {cond:.3g})")
-    return np.linalg.solve(G, b)
+# The functions below work on one series, or on each row of an (R, n+1)
+# block of series, a row bit for bit as on its own. Given `errors` (a
+# RowErrors of R rows), each error that one series raises becomes the row's
+# error there instead.
 
 
-def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, through the BLAS dot product that a 1-D
+    `a @ b` calls (einsum sums in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _checked_solve(G, b, error: type[ArdwError], what: str, errors: RowErrors = SERIES):
+    """Solve G z = b (b with a trailing axis of length 1) where cond(G) is
+    finite and <= _COND_LIMIT; elsewhere `error`, and z is NaN."""
+    finite = np.isfinite(G).all(axis=(-2, -1))[..., None, None]
+    cond = np.linalg.cond(np.where(finite, G, 0.0))  # inf for a zero matrix
+    ok = cond <= _COND_LIMIT
+    errors.add(~ok, error, lambda i: f"{what} singular (cond ~ {cond[i]:.3g})")
+    # one singular matrix would make the whole stacked solve raise
+    ok = ok[..., None, None]
+    return np.where(ok, np.linalg.solve(np.where(ok, G, np.eye(G.shape[-1])), b), np.nan)
+
+
+def lag_matrix(x: np.ndarray, p: int, width: int | None = None) -> np.ndarray:
     """Rows are the lag vectors (X_j, X_{j-1}, ..., X_{j-p+1}) for j = 0..n-1,
-    with zeros standing in for pre-sample indices."""
-    n = x.shape[0] - 1
-    L = np.zeros((n, p))
+    with zeros standing in for pre-sample indices. Columns past p, up to
+    width, are zero."""
+    n = x.shape[-1] - 1
+    L = np.zeros((*x.shape[:-1], n, width or p))
     for i in range(p):
-        L[i:, i] = x[: n - i]
+        L[..., i:, i] = x[..., : n - i]
     return L
 
 
-def ols_theta(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def ols_theta(x: np.ndarray, p: int, errors: RowErrors = SERIES):
     """Least squares estimate of the autoregressive coefficients.
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
     A singular S raises SingularDesign. p < 1, or a series value that is not
-    finite or has magnitude >= 1e150, raises ValueError.
+    finite or has magnitude >= 1e150, raises ValueError, and a series shorter
+    than p+2 SingularDesign; on a block these three raise for the whole block.
     """
     x = np.asarray(x, dtype=float)
     if p < 1:
         raise ValueError(f"model order p must be >= 1, got {p}")
     if not np.all(np.abs(x) < 1e150):  # squares and their sums stay finite
         raise ValueError("series must contain only finite values below 1e150")
-    if x.shape[0] < p + 2:
-        raise SingularDesign(f"series length {x.shape[0]} < p+2 = {p + 2}")
+    if x.shape[-1] < p + 2:
+        raise SingularDesign(f"series length {x.shape[-1]} < p+2 = {p + 2}")
     L = lag_matrix(x, p)
-    S = L.T @ L
-    rhs = L.T @ x[1:]
-    theta_hat = _checked_solve(S, rhs, SingularDesign, "design Gram matrix")
-    resid = np.linalg.norm(S @ theta_hat - rhs, np.inf)
-    if resid > 1e-10 * max(np.linalg.norm(rhs, np.inf), 1.0):
-        raise SingularDesign(f"normal equations residual too large: {resid:.3g}")
-    return theta_hat, S
+    Lt = L.swapaxes(-1, -2)
+    S = Lt @ L
+    rhs = Lt @ x[..., 1:, None]
+    theta_hat = _checked_solve(S, rhs, SingularDesign, "design Gram matrix", errors)
+    resid = np.abs(S @ theta_hat - rhs).max(axis=(-2, -1))
+    bound = 1e-10 * np.maximum(np.abs(rhs).max(axis=(-2, -1)), 1.0)
+    errors.add(resid > bound, SingularDesign,
+               lambda i: f"normal equations residual too large: {resid[i]:.3g}")
+    return theta_hat[..., 0], S
 
 
 def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
     """Residual series with the convention that the first residual is X_0."""
     x = np.asarray(x, dtype=float)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    L = lag_matrix(x, theta_hat.shape[0])
     eps = np.empty_like(x)
-    eps[0] = x[0]
-    eps[1:] = x[1:] - L @ theta_hat
+    eps[..., 0] = x[..., 0]
+    L = lag_matrix(x, theta_hat.shape[-1])
+    eps[..., 1:] = x[..., 1:] - (L @ theta_hat[..., None])[..., 0]
     return eps
 
 
-def ols_rho(eps: np.ndarray) -> float:
+def ols_rho(eps: np.ndarray, errors: RowErrors = SERIES):
     """Lag-1 least squares coefficient of the residual series."""
     eps = np.asarray(eps, dtype=float)
-    den = float(eps[:-1] @ eps[:-1])
-    if den <= 0.0:
-        raise DegenerateResiduals("zero energy in lagged residuals")
-    return float(eps[1:] @ eps[:-1]) / den
+    den = _dot(eps[..., :-1], eps[..., :-1])
+    errors.add(den <= 0.0, DegenerateResiduals, "zero energy in lagged residuals")
+    return _dot(eps[..., 1:], eps[..., :-1]) / den
 
 
-def _residual_energy(eps: np.ndarray) -> float:
-    """eps . eps; raises DegenerateResiduals when it is zero."""
-    energy = float(eps @ eps)
-    if energy <= 0.0:
-        raise DegenerateResiduals("zero residual energy")
+def _residual_energy(eps: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """eps . eps; DegenerateResiduals where it is zero."""
+    energy = _dot(eps, eps)
+    errors.add(energy <= 0.0, DegenerateResiduals, "zero residual energy")
     return energy
 
 
-def dw_statistic(eps: np.ndarray) -> float:
+def dw_statistic(eps: np.ndarray, errors: RowErrors = SERIES):
     """Durbin-Watson ratio; always in [0, 4]."""
     eps = np.asarray(eps, dtype=float)
     d = np.diff(eps)
-    return float(d @ d) / _residual_energy(eps)
+    return _dot(d, d) / _residual_energy(eps, errors)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Everything the serial-correlation tests need from one series."""
+    """Everything the serial-correlation tests need from one series. From a
+    block, each field but p and n holds one entry per row, and warnings is
+    empty."""
 
     p: int
     n: int
@@ -132,46 +153,35 @@ class FitResult:
         }
 
 
-def fit(x: np.ndarray, p: int) -> FitResult:
+@np.errstate(all="ignore")
+def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
     """Full estimation pipeline for one observed series. sigma2_hat is NaN
     when theta_hat_p is numerically zero and may be negative on short series
-    (only its limit is guaranteed); a note in warnings flags either case."""
+    (only its limit is guaranteed); a note in warnings flags either case.
+    A row of a block with an error holds meaningless values."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0] - 1
-    theta_hat, S = ols_theta(x, p)
+    n = x.shape[-1] - 1
+    theta_hat, S = ols_theta(x, p, errors)
     eps = residuals(x, theta_hat)
-    rho_hat = ols_rho(eps)
-    dw = dw_statistic(eps)
-    mean_sq = float(eps @ eps) / n
-
-    notes: list[str] = []
-    tp = theta_hat[-1]
-    if abs(tp) <= NEAR_ZERO_THETA_P:
-        s2 = np.nan
-        notes.append("near_zero_theta_p")
-    else:
-        s2 = (1.0 - rho_hat * rho_hat / (tp * tp)) * mean_sq  # ** raises OverflowError
-        if s2 < 0.0:
-            notes.append("negative_sigma2_hat")
+    rho_hat = ols_rho(eps, errors)
+    dw = dw_statistic(eps, errors)
+    mean_sq = _dot(eps, eps) / n
+    tp = theta_hat[..., -1]
+    near_zero = np.abs(tp) <= NEAR_ZERO_THETA_P
+    s2 = np.where(near_zero, np.nan, (1.0 - rho_hat * rho_hat / (tp * tp)) * mean_sq)[()]
 
     # variance of the first coefficient under the no-correlation hypothesis,
     # for the h-statistic: sigma2_0 * [S^{-1}]_{11} with sigma2_0 = mean_sq
-    var_theta1 = mean_sq * float(np.linalg.inv(S)[0, 0])
-    if not np.isfinite(var_theta1):  # a subnormal S passes the cond check
-        raise SingularDesign(f"variance of theta_hat_1 is {var_theta1}")
-
-    return FitResult(
-        p=p,
-        n=n,
-        theta_hat=theta_hat,
-        residuals=eps,
-        rho_hat=rho_hat,
-        sigma2_hat=s2,
-        dw=dw,
-        S_n=S,
-        var_theta1_hat=var_theta1,
-        warnings=tuple(notes),
-    )
+    ok = ~errors.failed[..., None, None]
+    var_theta1 = mean_sq * np.linalg.inv(np.where(ok, S, np.eye(p)))[..., 0, 0]
+    # a subnormal S passes the cond check
+    errors.add(~np.isfinite(var_theta1), SingularDesign,
+               lambda i: f"variance of theta_hat_1 is {var_theta1[i]}")
+    notes = () if x.ndim > 1 else ("near_zero_theta_p",) if near_zero else (
+        ("negative_sigma2_hat",) if s2 < 0.0 else ())
+    return FitResult(p=p, n=n, theta_hat=theta_hat, residuals=eps, rho_hat=rho_hat,
+                     sigma2_hat=s2, dw=dw, S_n=S, var_theta1_hat=var_theta1,
+                     warnings=notes)
 
 
 def sample_autocov_toeplitz(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +200,8 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     n = x.shape[0] - 1
     S, Pi = sample_autocov_toeplitz(x, p)
-    theta_yw = _checked_solve(S, Pi, SingularToeplitz, "sample Toeplitz matrix")
+    theta_yw = _checked_solve(S, Pi[:, None], SingularToeplitz,
+                              "sample Toeplitz matrix")[:, 0]
     s0 = S[0, 0]
     sigma2_yw = (s0 - float(Pi @ theta_yw)) / n
     var_theta1 = sigma2_yw * float(np.linalg.inv(S)[0, 0])

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArdwError
+from .errors import ArdwError, RowErrors
 from .estimators import fit, lag_matrix
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
-from .serial_tests import TEST_NAMES, run_tests
+from .serial_tests import TEST_NAMES, outcome_masks
 from .simulate import NoiseSpec, simulate
 from .text import csv_text
 
@@ -103,33 +103,35 @@ class PowerTable:
         raise KeyError((params_id, n, test_name))
 
 
-def _fits(params, n, noise, seeds, burn_in=0):
-    """(x, fit) for the path simulated from each seed in turn; in place of the
-    fit stands the ArdwError that it raised."""
-    for seed in seeds:
-        x = simulate(params, n, noise=noise, seed=seed, burn_in=burn_in).x
-        try:
-            f = fit(x, params.p)
-        except ArdwError as exc:
-            f = exc
-        yield x, f
+#: most elements (rows x n) of a block of replications. The largest array
+#: of a block, the rows x n x (p+1) Breusch-Godfrey tensor, stays at a few
+#: MB; a path longer than this is a block by itself.
+BLOCK_ELEMENTS = 2**16
+
+
+def _replicate(params, n, noise, seeds, burn_in=0, level=0.05, names=()):
+    """Simulate, fit and test the path of each seed in turn, in blocks of at
+    most BLOCK_ELEMENTS // n rows; yields per block the fits, their errors
+    and, per test name, the masks (reject, inapplicable) of `outcome_masks`."""
+    rows = max(1, BLOCK_ELEMENTS // n)
+    for start in range(0, len(seeds), rows):
+        x = simulate(params, n, noise, seeds[start:start + rows], burn_in).x
+        errors = RowErrors(len(x))
+        fits = fit(x, params.p, errors)
+        yield fits, errors, outcome_masks(x, fits, errors.failed, level, names)
 
 
 def _run_chunk(args) -> Counter:
     """Counts keyed (test name, "reject" | "inapplicable") over a range of
-    replications of one (params, n) cell. A replication that fails to fit is
-    inapplicable for every test; an inapplicable outcome never rejects."""
+    replications of one (params, n) cell."""
     config, params_id, n, rep_range = args
-    seeds = ((config.master_seed, params_id, n, rep) for rep in rep_range)
+    seeds = [(config.master_seed, params_id, n, rep) for rep in rep_range]
     counts = Counter()
-    for x, f in _fits(config.params_list[params_id], n, config.noise, seeds,
-                      config.burn_in):
-        if isinstance(f, ArdwError):
-            counts.update((name, "inapplicable") for name in config.tests)
-            continue
-        for o in run_tests(x, f, level=config.level, names=config.tests):
-            counts[o.name, "reject"] += o.reject
-            counts[o.name, "inapplicable"] += "inapplicable" in o.warnings
+    for _, _, tests in _replicate(config.params_list[params_id], n, config.noise, seeds,
+                               config.burn_in, config.level, config.tests):
+        for name, (reject, inapplicable) in tests.items():
+            counts[name, "reject"] += int(reject.sum())
+            counts[name, "inapplicable"] += int(inapplicable.sum())
     return counts
 
 
@@ -156,6 +158,8 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
         for r in range(0, config.reps, chunk_size)
     ]
     totals = {cell: Counter() for cell in cells}
+    if workers > 1:
+        import scipy.signal  # noqa: F401  imported once here, not in each forked worker
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         results = (pool.map if pool else map)(_run_chunk, chunks)
@@ -191,23 +195,24 @@ def clt_diagnostic(
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
-    seeds = ((seed, rep) for rep in range(reps))
-    results = [f for _, f in _fits(params, n, noise, seeds)]
-    fits = [f for f in results if not isinstance(f, ArdwError)]
-    if len(fits) < 2:
-        first = next(f for f in results if isinstance(f, ArdwError))
-        raise ArdwError(f"kept {len(fits)} of {reps} fits, need 2; first failure: "
+    kept, first = [], None
+    seeds = [(seed, rep) for rep in range(reps)]
+    for fits, errors, _ in _replicate(params, n, noise, seeds):
+        ok = ~errors.failed
+        kept.append((fits.theta_hat[ok], fits.rho_hat[ok], fits.dw[ok]))
+        if first is None and not ok.all():
+            first = errors.error(int(np.argmin(ok)))
+    theta, rho, dw = (np.concatenate(a) for a in zip(*kept))
+    if len(dw) < 2:
+        raise ArdwError(f"kept {len(dw)} of {reps} fits, need 2; first failure: "
                         f"{type(first).__name__}: {first}")
-    errs = np.sqrt(n) * np.array([
-        [*(f.theta_hat - limits.theta_star), f.rho_hat - limits.rho_star]
-        for f in fits
-    ]).reshape(-1, params.p + 1)
-    dw_errs = np.sqrt(n) * np.array([f.dw - limits.d_star for f in fits])
+    errs = np.sqrt(n) * np.column_stack([theta - limits.theta_star, rho - limits.rho_star])
+    dw_errs = np.sqrt(n) * (dw - limits.d_star)
 
     report = {
         "n": n,
         "reps": reps,
-        "kept": len(fits),
+        "kept": len(dw),
         "gamma_singular": limits.gamma_singular,
         "sigma2_D": limits.sigma2_D,
         "empirical_var_dw": float(np.var(dw_errs)),

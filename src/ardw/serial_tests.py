@@ -14,30 +14,40 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (
+    SERIES,
     DegenerateResiduals,
     DomainError,
     InapplicableH,
     NearZeroThetaP,
+    RowErrors,
     SingularAuxiliaryRegression,
 )
 from .estimators import (
-    NEAR_ZERO_THETA_P, FitResult, _checked_solve, _residual_energy, lag_matrix,
+    NEAR_ZERO_THETA_P, FitResult, _checked_solve, _dot, _residual_energy, lag_matrix,
 )
 from .text import csv_text
 
 _STANDARD_NORMAL = NormalDist()
 
+_math_erfc = np.frompyfunc(math.erfc, 1, 1)
 
-def chi2_sf(x: float) -> float:
+
+def _erfc(x):
+    """math.erfc of each entry (numpy has no erfc), so that each p-value of a
+    block is the one-series value bit for bit."""
+    return np.asarray(_math_erfc(x), dtype=float)[()]
+
+
+def chi2_sf(x):
     """Upper tail of the chi-square distribution with one degree of freedom."""
-    if x < 0.0:
+    if np.any(x < 0.0):
         raise DomainError("chi-square statistic must be nonnegative")
-    return math.erfc(math.sqrt(x / 2.0))
+    return _erfc(np.sqrt(x / 2.0))
 
 
-def normal_sf(x: float) -> float:
+def normal_sf(x):
     """Upper tail of the standard normal distribution."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
+    return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
 def chi2_quantile(q: float) -> float:
@@ -85,6 +95,97 @@ def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:
     )
 
 
+# Each test below works on one series or on each row of a block, as the
+# estimators do: it returns the statistic, the p-value and, per advisory
+# note, the mask of the rows it flags, and adds each row's error to `errors`.
+# A square is np.float_power(v, 2), C pow as in Python's float **: v * v
+# differs from it in the last bit for about one value in a thousand.
+
+def _dw_chi2(fit, errors: RowErrors):
+    """Notes carry the fit's own warnings first."""
+    tp = fit.theta_hat[..., -1]
+    errors.add(np.abs(tp) <= NEAR_ZERO_THETA_P, NearZeroThetaP,
+               "p-th coefficient estimate is numerically zero")
+    # a DW-based decision is uninformative when the p-th coefficient is
+    # itself insignificant
+    insignificant = np.abs(tp) < 2.0 * np.sqrt(np.maximum(fit.var_theta1_hat, 0.0))
+    stat = fit.n * np.float_power(fit.dw - 2.0, 2) / (4.0 * tp * tp)
+    return stat, chi2_sf(stat), [*((w, True) for w in fit.warnings),
+                                 ("theta_p_possibly_insignificant", insignificant)]
+
+
+def _durbin_h(fit, errors: RowErrors):
+    radicand = 1.0 - fit.n * np.asarray(fit.var_theta1_hat)
+    errors.add(~(radicand > 0.0), InapplicableH,
+               lambda i: f"nonpositive radicand 1 - n*var = {radicand[i]:.3g}")
+    h = fit.rho_hat * np.sqrt(fit.n / radicand)
+    return h, 2.0 * normal_sf(np.abs(h)), [(w, True) for w in fit.warnings]
+
+
+def _r1_squared(eps: np.ndarray, errors: RowErrors):
+    r1 = _dot(eps[..., 1:], eps[..., :-1]) / _residual_energy(eps, errors)
+    return np.float_power(r1, 2)
+
+
+def _box_pierce(eps: np.ndarray, errors: RowErrors):
+    stat = eps.shape[-1] * _r1_squared(eps, errors)
+    return stat, chi2_sf(stat), []
+
+
+def _ljung_box(eps: np.ndarray, errors: RowErrors):
+    n = eps.shape[-1]
+    stat = n * (n + 2.0) * _r1_squared(eps, errors) / (n - 1.0)
+    return stat, chi2_sf(stat), []
+
+
+def _breusch_godfrey(x: np.ndarray, fit, errors: RowErrors):
+    x = np.asarray(x, dtype=float)
+    Z = lag_matrix(x, fit.p, fit.p + 1)
+    Z[..., fit.p] = fit.residuals[..., :-1]
+    y = fit.residuals[..., 1:]
+    tss = _residual_energy(y, errors)
+    Zt = Z.swapaxes(-1, -2)
+    Zy = Zt @ y[..., None]
+    coef = _checked_solve(Zt @ Z, Zy, SingularAuxiliaryRegression, "auxiliary Gram matrix",
+                          errors)
+    stat = fit.n * (_dot(coef[..., 0], Zy[..., 0]) / tss)
+    return stat, chi2_sf(np.maximum(stat, 0.0)), []
+
+
+#: every test under the one signature (x, fit, errors), in reporting order
+_TESTS = {
+    "dw_chi2": lambda x, fit, errors: _dw_chi2(fit, errors),
+    "durbin_h": lambda x, fit, errors: _durbin_h(fit, errors),
+    "box_pierce": lambda x, fit, errors: _box_pierce(fit.residuals, errors),
+    "ljung_box": lambda x, fit, errors: _ljung_box(fit.residuals, errors),
+    "breusch_godfrey": _breusch_godfrey,
+}
+
+TEST_NAMES = tuple(_TESTS)
+
+
+@np.errstate(all="ignore")
+def outcome_masks(x: np.ndarray, fit: FitResult, fit_failed: np.ndarray, level: float,
+                  names: tuple[str, ...]) -> dict:
+    """Per test name, the masks (reject, inapplicable) over the rows of a
+    block: a row whose fit failed is inapplicable for every test, and an
+    inapplicable row never rejects."""
+    out = {}
+    for name in names:
+        errors = RowErrors(len(x))
+        p_value = _TESTS[name](x, fit, errors)[1]
+        inapplicable = fit_failed | errors.failed
+        out[name] = (p_value < level) & ~inapplicable, inapplicable
+    return out
+
+
+@np.errstate(all="ignore")
+def _one(name: str, level: float, test, *args) -> TestOutcome:
+    """The outcome of test(*args) on one series; raises its error instead."""
+    stat, p_value, notes = test(*args, SERIES)
+    return _outcome(name, stat, p_value, level, [note for note, on in notes if on])
+
+
 def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     """Chi-square test on the squared deviation of the DW statistic from 2.
 
@@ -92,17 +193,7 @@ def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     tail of the one-degree chi-square distribution. Requires the fitted
     p-th coefficient to be away from zero.
     """
-    tp = fit.theta_hat[-1]
-    if abs(tp) <= NEAR_ZERO_THETA_P:
-        raise NearZeroThetaP("p-th coefficient estimate is numerically zero")
-    warns = list(fit.warnings)
-    se_tp = math.sqrt(max(fit.var_theta1_hat, 0.0))
-    if abs(tp) < 2.0 * se_tp:
-        # a DW-based decision is uninformative when the p-th coefficient is
-        # itself insignificant
-        warns.append("theta_p_possibly_insignificant")
-    stat = fit.n * (fit.dw - 2.0) ** 2 / (4.0 * tp * tp)
-    return _outcome("dw_chi2", stat, chi2_sf(stat), level, warns)
+    return _one("dw_chi2", level, _dw_chi2, fit)
 
 
 def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
@@ -111,32 +202,17 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     Raises InapplicableH when the variance correction exceeds 1/n, the
     classical failure mode of the test on short series, or is undefined (NaN).
     """
-    radicand = 1.0 - fit.n * fit.var_theta1_hat
-    if not radicand > 0.0:
-        raise InapplicableH(
-            f"nonpositive radicand 1 - n*var = {radicand:.3g}"
-        )
-    h = fit.rho_hat * math.sqrt(fit.n / radicand)
-    return _outcome("durbin_h", h, 2.0 * normal_sf(abs(h)), level, fit.warnings)
-
-
-def _r1(eps: np.ndarray) -> float:
-    eps = np.asarray(eps, dtype=float)
-    return float(eps[1:] @ eps[:-1]) / _residual_energy(eps)
+    return _one("durbin_h", level, _durbin_h, fit)
 
 
 def box_pierce_test(eps: np.ndarray, level: float = 0.05) -> TestOutcome:
     """Order-1 Box-Pierce portmanteau statistic n r1^2 against chi-square."""
-    n = len(eps)
-    stat = n * _r1(eps) ** 2
-    return _outcome("box_pierce", stat, chi2_sf(stat), level)
+    return _one("box_pierce", level, _box_pierce, np.asarray(eps, dtype=float))
 
 
 def ljung_box_test(eps: np.ndarray, level: float = 0.05) -> TestOutcome:
     """Order-1 Ljung-Box statistic n(n+2) r1^2 / (n-1) against chi-square."""
-    n = len(eps)
-    stat = n * (n + 2.0) * _r1(eps) ** 2 / (n - 1.0)
-    return _outcome("ljung_box", stat, chi2_sf(stat), level)
+    return _one("ljung_box", level, _ljung_box, np.asarray(eps, dtype=float))
 
 
 def breusch_godfrey_test(
@@ -144,30 +220,7 @@ def breusch_godfrey_test(
 ) -> TestOutcome:
     """Order-1 LM test: residuals regressed on the lag vector and the lagged
     residual (zero-padded), statistic n R^2 against chi-square."""
-    x = np.asarray(x, dtype=float)
-    eps = fit.residuals
-    L = lag_matrix(x, fit.p)
-    Z = np.column_stack([L, eps[:-1]])
-    y = eps[1:]
-    tss = _residual_energy(y)
-    Zy = Z.T @ y
-    coef = _checked_solve(
-        Z.T @ Z, Zy, SingularAuxiliaryRegression, "auxiliary Gram matrix"
-    )
-    stat = fit.n * (float(coef @ Zy) / tss)
-    return _outcome("breusch_godfrey", stat, chi2_sf(max(stat, 0.0)), level)
-
-
-#: every test under the one signature (x, fit, level), in reporting order
-_TESTS = {
-    "dw_chi2": lambda x, fit, level: dw_chi2_test(fit, level),
-    "durbin_h": lambda x, fit, level: durbin_h_test(fit, level),
-    "box_pierce": lambda x, fit, level: box_pierce_test(fit.residuals, level),
-    "ljung_box": lambda x, fit, level: ljung_box_test(fit.residuals, level),
-    "breusch_godfrey": breusch_godfrey_test,
-}
-
-TEST_NAMES = tuple(_TESTS)
+    return _one("breusch_godfrey", level, _breusch_godfrey, x, fit)
 
 
 def run_tests(
@@ -190,7 +243,7 @@ def run_tests(
     out = []
     for name in names:
         try:
-            out.append(_TESTS[name](x, fit, level))
+            out.append(_one(name, level, _TESTS[name], x, fit))
         except (InapplicableH, NearZeroThetaP, DegenerateResiduals,
                 SingularAuxiliaryRegression) as exc:
             out.append(_outcome(name, math.nan, math.nan, level,

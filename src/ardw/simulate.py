@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .limit_theory import ModelParams
 from .text import csv_text, json_text
@@ -62,7 +61,8 @@ class Trajectory:
     """Simulated sample path with full seed provenance.
 
     x and eps have length n+1 (indices 0..n); v holds the innovations
-    V_0..V_n where V_0 only feeds the initial noise value. A tuple seed (as
+    V_0..V_n where V_0 only feeds the initial noise value. For a list of
+    seeds they hold one row per seed. A tuple seed (as
     in studies) is stored as a list in the JSON sidecar and read back as a
     tuple.
     """
@@ -109,7 +109,7 @@ def simulate(
     params: ModelParams,
     n: int,
     noise: NoiseSpec | None = None,
-    seed: int | tuple[int, ...] = 0,
+    seed: int | tuple[int, ...] | list = 0,
     burn_in: int = 0,
 ) -> Trajectory:
     """Generate X_0..X_n under the model recursion.
@@ -117,23 +117,32 @@ def simulate(
     Pre-sample observations are zero and X_0 equals the initial noise value.
     The noise chain starts stationary (eps_0 = V_0/sqrt(1-rho^2)) burn_in
     steps before the first reported index, so the observation recursion
-    holds exactly at every reported index.
+    holds exactly at every reported index. A list of seeds gives a block:
+    one path per seed, each drawn as that seed alone would draw it, as the
+    rows of x, eps and v.
     """
+    # importing scipy.signal takes about a second; only simulating needs it
+    from scipy.signal import lfilter
+
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     if noise is None:
         noise = NoiseSpec(sigma2=params.sigma2)
-    rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
     rho = params.rho
 
-    v = noise.draw(rng, burn_in + n + 1)
-    eps = np.empty(burn_in + n + 1)
-    eps[0] = v[0] / np.sqrt(1.0 - rho * rho)
-    eps[1:], _ = lfilter([1.0], [1.0, -rho], v[1:], zi=np.array([rho * eps[0]]))
-    v, eps = v[burn_in:], eps[burn_in:]
+    seeds = seed if isinstance(seed, list) else [seed]
+    v = np.empty((len(seeds), burn_in + n + 1))
+    for row, s in zip(v, seeds):
+        rng = derive_rng(*s) if isinstance(s, tuple) else derive_rng(s)
+        row[:] = noise.draw(rng, v.shape[1])
+    eps = np.empty_like(v)
+    eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
+    eps[:, 1:], _ = lfilter([1.0], [1.0, -rho], v[:, 1:], zi=rho * eps[:, :1])
+    v, eps = v[:, burn_in:], eps[:, burn_in:]
     # observation recursion with zero pre-sample values, run in C
-    ar_poly = np.concatenate(([1.0], -params.theta))
-    x = lfilter([1.0], ar_poly, eps)
+    x = lfilter([1.0], np.concatenate(([1.0], -params.theta)), eps)
+    if not isinstance(seed, list):
+        x, eps, v = x[0], eps[0], v[0]
     return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)
