@@ -63,7 +63,8 @@ def lag_matrix(x: np.ndarray, p: int, width: int | None = None) -> np.ndarray:
     return L
 
 
-def ols_theta(x: np.ndarray, p: int, errors: RowErrors = SERIES):
+def ols_theta(x: np.ndarray, p: int,
+              errors: RowErrors = SERIES) -> tuple[np.ndarray, np.ndarray]:
     """Least squares estimate of the autoregressive coefficients.
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.

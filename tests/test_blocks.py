@@ -231,7 +231,8 @@ class TestErrorParity:
     @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.12867068e-162, 1e149, 5e-324]),
                     min_size=4, max_size=9))
     def test_degenerate_rows_neither_raise_nor_warn(self, row):
-        # rows that fail each check in turn, stacked with a good row
+        # zeros, subnormals and values near the 1e150 bound fail the checks in
+        # turn; stacked with a zero row and a good one
         x = np.array([row, [0.0] * len(row), [1.0, -0.5, 0.3, 0.9, -1.1, 0.2, 0.7, -0.4,
                                                0.1][: len(row)]])
         with warnings.catch_warnings():
