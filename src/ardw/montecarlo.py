@@ -105,7 +105,9 @@ class PowerTable:
 
 #: most elements (rows x n) of a block of replications. The largest array
 #: of a block, the rows x n x (p+1) Breusch-Godfrey tensor, stays at a few
-#: MB; a path longer than this is a block by itself.
+#: MB; a path longer than this is a block by itself. The rate diagnostic
+#: runs its stages in blocks of BLOCK_ELEMENTS // p**2, one (p, p) Gram
+#: matrix per stage.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -232,14 +234,31 @@ def clt_diagnostic(
     return report
 
 
-def _theta_hat_path(x: np.ndarray, p: int, start: int) -> np.ndarray:
-    """Estimates at every stage k >= start along one path (row k - start),
-    via cumulative Gram sums and a batched solve."""
+def _running_sum(terms: np.ndarray, last: np.ndarray | None) -> np.ndarray:
+    """np.cumsum(terms, axis=0) in place, continued from the last row of the
+    previous block: the same additions in the same order as one cumsum over
+    the whole path. The first block (last None) adds nothing, so a -0.0 stays."""
+    if last is not None:
+        terms[0] += last[-1]
+    return np.cumsum(terms, axis=0, out=terms)
+
+
+def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
+    """Estimates at every stage k >= start along one path, in blocks of at
+    most BLOCK_ELEMENTS // p**2 stages: yields (k0, theta) with row i of
+    theta the estimate at stage k0 + i. The Gram and numerator sums run over
+    j <= k-1 and are carried from block to block, so memory is O(n p), not
+    O(n p^2)."""
     L = lag_matrix(x, p)
-    # S_{k-1} entries and numerator entries as running sums over j <= k-1
-    gram = np.cumsum(L[:, :, None] * L[:, None, :], axis=0)
-    num = np.cumsum(L * x[1:, None], axis=0)
-    return np.linalg.solve(gram[start - 1:], num[start - 1:, :, None])[..., 0]
+    rows = max(1, BLOCK_ELEMENTS // p**2)
+    gram = num = None
+    for a in range(0, len(L), rows):
+        Lb = L[a:a + rows]
+        gram = _running_sum(Lb[:, :, None] * Lb[:, None, :], gram)
+        num = _running_sum(Lb * x[a + 1:a + 1 + len(Lb), None], num)
+        s = max(0, start - 1 - a)
+        if s < len(Lb):
+            yield a + 1 + s, np.linalg.solve(gram[s:], num[s:, :, None])[..., 0]
 
 
 def rate_diagnostic(
@@ -261,21 +280,24 @@ def rate_diagnostic(
         raise ValueError(f"n_max must be > the first estimation stage {start}, "
                          f"got {n_max}")
     limits = limit_summary(params)
-    checkpoints = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
-    traj = simulate(params, n_max, noise=noise, seed=seed)
-    theta = _theta_hat_path(traj.x, params.p, start)
-    err = theta - limits.theta_star
-    outer = err[:, :, None] * err[:, None, :]
-    cum_outer = np.cumsum(outer, axis=0)
+    checkpoints = [cp for cp in np.unique(np.geomspace(min(1000, n_max), n_max, 8)
+                                          .astype(int)).tolist() if cp > start]
+    x = simulate(params, n_max, noise=noise, seed=seed).x
+    # the error and the running sum of its outer products, kept at the checkpoints
+    kept, cum_outer = {}, None
+    for k0, theta in _theta_hat_blocks(x, params.p, start):
+        err = theta - limits.theta_star
+        cum_outer = _running_sum(err[:, :, None] * err[:, None, :], cum_outer)
+        for cp in checkpoints:
+            if k0 <= cp < k0 + len(err):
+                kept[cp] = err[cp - k0].copy(), cum_outer[cp - k0].copy()
 
     rows = []
     tr_sigma = float(np.trace(limits.Sigma_theta))
-    for cp in checkpoints.tolist():
-        if cp <= start:
-            continue
-        i = cp - start
-        qsl = cum_outer[i] / np.log(cp)
-        lil = cp * float(err[i] @ err[i]) / (2.0 * np.log(np.log(cp)))
+    for cp in checkpoints:
+        err, cum = kept[cp]
+        qsl = cum / np.log(cp)
+        lil = cp * float(err @ err) / (2.0 * np.log(np.log(cp)))
         rows.append(
             {
                 "n": cp,

@@ -1,17 +1,24 @@
 import hashlib
 import json
 import os
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ardw
+import ardw.montecarlo
 from ardw.cli import run
 from ardw.errors import ArdwError
-from ardw.montecarlo import DEFAULT_SUITE, _theta_hat_path
+from ardw.montecarlo import DEFAULT_SUITE, _theta_hat_blocks
 from ardw.simulate import NoiseSpec
+from ardw.text import json_text
+
+from conftest import random_stable_params
 
 
 def params(theta, rho, sigma2=1.0):
@@ -231,13 +238,74 @@ class TestRateDiagnostic:
         report = ardw.rate_diagnostic(params([0.1] * 6, 0.0), n_max=61)
         assert [row["n"] for row in report["checkpoints"]] == [61]
 
-    def test_theta_hat_path_matches_full_fits(self):
+    def test_theta_hat_path_matches_full_fits(self, monkeypatch):
+        # blocks of 2**7 // p**2 = 32 stages put stages 50, 120 and 200 in
+        # three blocks
+        monkeypatch.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", 2**7)
         traj = ardw.simulate(params([0.4, -0.3], 0.2), 200, seed=6)
-        theta = _theta_hat_path(traj.x, 2, start=50)
+        blocks = list(_theta_hat_blocks(traj.x, 2, start=50))
+        assert [k0 for k0, _ in blocks] == [50, 65, 97, 129, 161, 193]
+        theta = np.concatenate([t for _, t in blocks])
         assert theta.shape == (151, 2)
         for k in (50, 120, 200):
             ref, _ = ardw.ols_theta(traj.x[: k + 1], 2)
             assert theta[k - 50] == pytest.approx(ref, abs=1e-10)
+
+    def test_report_golden(self):
+        # the JSON of rate_diagnostic as the full-length cumulative sums
+        # wrote it: blocks must give the same bits
+        cases = [
+            (DEFAULT_SUITE[0], 200_000, 8, None),
+            (DEFAULT_SUITE[4], 70_000, 3, None),
+            (ardw.ModelParams(p=6, theta=[0.1] * 6, rho=0), 61, 0, None),
+            (DEFAULT_SUITE[4], 2000, 1203, None),
+            (DEFAULT_SUITE[3], 131_073, 5, NoiseSpec(family="student_t", df=4.5)),
+        ]
+        digests = [
+            hashlib.sha256(json_text(ardw.rate_diagnostic(prm, n, seed=seed, noise=noise))
+                           .encode()).hexdigest()
+            for prm, n, seed, noise in cases
+        ]
+        assert digests == [
+            "caca52b26c16a8c2163a0b95d7bf6657a54557bfb5ca77ed70c0a5e974017a08",
+            "e313ea784e400bb32c1c1f58e938ec06b98776b47b84b331e21ed0e540a49139",
+            "76c4fde9b911c3f0ce046955ea87de93e9eb8c637767235c0bb7628228fef8a7",
+            "c8bfc70cbed8b49e45693d4fd1598fa62bf9c76f9e298e13b04a58c9a2e62488",
+            "62e2745891685a7b7e076a39778a6d0233f68e7435f53e1adc3390eea6cdd36e",
+        ]
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(51, 5000),
+           st.integers(0, 2**32), st.integers(1, 60))
+    @example(0, 1, 1000, 1, 1)  # every stage is a block, and so every checkpoint
+    @example(0, 1, 2000, 2, 7)  # a block starts at stage start = 50
+    @example(0, 1, 2000, 3, 5)  # a block ends at stage start = 50
+    def test_block_cap_leaves_report_unchanged(self, pseed, p, n_max, seed, small):
+        # blocks hold cap // p**2 stages and start = 50 for p <= 5: the caps
+        # put block boundaries before, at and after it, among the
+        # checkpoints, or none at all
+        prm = random_stable_params(np.random.default_rng(pseed), p)
+        texts = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for cap in (2**16, 2**9, 2**6, small):
+                mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", cap)
+                texts.add(json_text(ardw.rate_diagnostic(prm, n_max, seed=seed)))
+        assert len(texts) == 1
+
+    def test_memory_grows_by_the_path_and_its_lags(self):
+        # per extra step: the path, its p lag columns and one array of slack,
+        # nothing of size p^2
+        prm = DEFAULT_SUITE[4]
+        ardw.rate_diagnostic(prm, 1000)  # imports scipy.signal before tracing
+        peaks = []
+        for n in (100_000, 200_000):
+            tracemalloc.start()
+            try:
+                ardw.rate_diagnostic(prm, n, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * (prm.p + 4) * 100_000
 
     def test_qsl_and_lil_behave(self):
         # single-path fluctuations of the log-averaged outer product are
