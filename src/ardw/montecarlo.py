@@ -280,8 +280,8 @@ def rate_diagnostic(
         raise ValueError(f"n_max must be > the first estimation stage {start}, "
                          f"got {n_max}")
     limits = limit_summary(params)
-    checkpoints = [cp for cp in np.unique(np.geomspace(min(1000, n_max), n_max, 8)
-                                          .astype(int)).tolist() if cp > start]
+    grid = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
+    checkpoints = [cp for cp in grid.tolist() if cp > start]
     x = simulate(params, n_max, noise=noise, seed=seed).x
     # the error and the running sum of its outer products, kept at the checkpoints
     kept, cum_outer = {}, None
