@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ardw.errors import (
     ZeroTheta,
 )
 from ardw.limit_theory import _system_matrix
+from ardw.text import json_text
 
 from conftest import random_stable_params
 
@@ -317,3 +320,20 @@ class TestLimitSummary:
         # theta* last component vanishes exactly when theta = -rho at order 1
         assert ardw.limit_summary(params([0.5], -0.5)).gamma_singular
         assert not ardw.limit_summary(params([0.5], 0.3)).gamma_singular
+
+    def test_golden_bits(self):
+        # 300 seeded stable sets, 60 for each p in 1..5, and a gamma_singular
+        # one: the JSON and the raw bytes of every matrix, as first written
+        rng = np.random.default_rng(1871)
+        grid = [random_stable_params(rng, p) for p in range(1, 6) for _ in range(60)]
+        grid.append(params([0.5], -0.5))
+        h = hashlib.sha256()
+        for prm in grid:
+            s = ardw.limit_summary(prm)
+            h.update(json_text(s.to_dict()).encode())
+            for a in (s.B, s.Delta_p, s.Delta_p1, s.P, s.C_A, s.Sigma_theta, s.Gamma):
+                h.update(a.tobytes())
+        assert s.gamma_singular
+        assert h.hexdigest() == (
+            "2346690224e6c97e632abe54b52bc98d4c80b580c80cefbd8b85090aeea9d20c"
+        )
