@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,10 +69,9 @@ def check_stability(params: ModelParams) -> None:
     """Validate the open stability region and basic parameter sanity."""
     if not np.all(np.isfinite([*params.theta, params.rho, params.sigma2])):
         raise ValueError("parameters must be finite")
-    if np.linalg.norm(params.theta, 1) >= 1.0:
-        raise UnstableTheta(
-            f"||theta||_1 = {np.linalg.norm(params.theta, 1):.6g} >= 1"
-        )
+    norm1 = np.linalg.norm(params.theta, 1)
+    if norm1 >= 1.0:
+        raise UnstableTheta(f"||theta||_1 = {norm1:.6g} >= 1")
     if abs(params.rho) >= 1.0:
         raise UnstableRho(f"|rho| = {abs(params.rho):.6g} >= 1")
     if np.all(params.theta == 0.0):
@@ -82,11 +82,8 @@ def check_stability(params: ModelParams) -> None:
 
 def beta_vector(params: ModelParams) -> np.ndarray:
     """Combined coefficient vector: (theta_1 + rho, theta_2 - theta_1 rho, ...)."""
-    theta, rho = params.theta, params.rho
-    beta = theta.copy()
-    beta[0] += rho
-    beta[1:] -= rho * theta[:-1]
-    return beta
+    theta, rho = params.theta.tolist(), params.rho
+    return np.array([theta[0] + rho, *(t - rho * s for t, s in zip(theta[1:], theta))])
 
 
 def alpha_scalar(params: ModelParams) -> float:
@@ -99,13 +96,14 @@ def _system_matrix(beta: np.ndarray, tail: float, p: int) -> np.ndarray:
     """Assemble the (p+2)-order linear system matrix from the autocovariance
     recursion lam_d - sum_i beta_i lam_|d-i| + tail * lam_|d-p-1| = delta_d."""
     m = p + 2
-    B = np.zeros((m, m))
-    for d in range(m):
-        B[d, d] += 1.0
+    beta, tail = beta.tolist(), float(tail)  # Python floats: same IEEE ops, less overhead
+    B = [[0.0] * m for _ in range(m)]
+    for d, row in enumerate(B):
+        row[d] = 1.0
         for i in range(1, p + 1):
-            B[d, abs(d - i)] -= beta[i - 1]
-        B[d, abs(d - p - 1)] += tail
-    return B
+            row[abs(d - i)] -= beta[i - 1]
+        row[abs(d - p - 1)] += tail
+    return np.array(B)
 
 
 def build_B(params: ModelParams) -> np.ndarray:
@@ -114,33 +112,37 @@ def build_B(params: ModelParams) -> np.ndarray:
 
     Its conditioning is checked where the system is solved (solve_lambda).
     """
-    tpr = params.theta[-1] * params.rho
-    return _system_matrix(beta_vector(params), tpr, params.p)
+    return _system_matrix(beta_vector(params), params.theta[-1] * params.rho, params.p)
 
 
 def solve_lambda(B: np.ndarray) -> np.ndarray:
     """Solve B lam = e for the normalized autocovariance vector lam_0..lam_{p+1}."""
-    m = B.shape[0]
     cond = np.linalg.cond(B)
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularB(f"system matrix numerically singular (cond ~ {cond:.3g})")
     if cond > ILL_CONDITION_THRESHOLD:
-        warnings.warn(
-            f"autocovariance system ill-conditioned (cond ~ {cond:.3g})",
-            RuntimeWarning,
-        )
-    e = np.zeros(m)
-    e[0] = 1.0
+        warnings.warn(f"autocovariance system ill-conditioned (cond ~ {cond:.3g})",
+                      RuntimeWarning)
+    e = _order_arrays(B.shape[0])[2]
     lam = np.linalg.solve(B, e)
-    resid = np.linalg.norm(B @ lam - e, np.inf)
-    if resid > 1e-10 * max(np.linalg.norm(lam, np.inf), 1.0):
+    resid = np.abs(B @ lam - e).max()  # the inf-norm
+    if resid > 1e-10 * max(np.abs(lam).max(), 1.0):
         raise SingularB(f"solve residual too large: {resid:.3g}")
     return lam
 
 
+@lru_cache(maxsize=32)
+def _order_arrays(m: int) -> tuple[np.ndarray, ...]:
+    """Read-only eye(m), its views fliplr(eye(m)) and e_1, and the index |i - j|."""
+    eye = np.eye(m)
+    index = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    eye.flags.writeable = index.flags.writeable = False
+    return eye, eye[:, ::-1], eye[0], index
+
+
 def _symmetric_toeplitz(c: np.ndarray, m: int) -> np.ndarray:
     """The m x m matrix whose (i, j) entry is c[|i - j|]."""
-    return c[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+    return c[_order_arrays(m)[3]]
 
 
 def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
@@ -162,12 +164,13 @@ def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
 
 def companion_matrix(params: ModelParams) -> np.ndarray:
     """Companion form of the combined (p+1)-order recursion on the observations."""
-    beta = beta_vector(params)
-    p = params.p
-    C = np.zeros((p + 1, p + 1))
+    return _companion(beta_vector(params), params.theta[-1] * params.rho, params.p)
+
+
+def _companion(beta: np.ndarray, tail: float, p: int) -> np.ndarray:
+    C = np.eye(p + 1, k=-1)
     C[0, :p] = beta
-    C[0, p] = -params.theta[-1] * params.rho
-    C[1:, :-1] = np.eye(p)
+    C[0, p] = -tail
     return C
 
 
@@ -196,8 +199,7 @@ def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
         raise NoConvergence("stationary covariance iteration hit the cap")
     lam = np.empty(max_lag + 1)
     lam[: m] = Sigma[0, :]
-    beta = beta_vector(params)
-    tail = params.theta[-1] * params.rho
+    beta, tail = C[0, :-1], -C[0, -1]
     for d in range(m, max_lag + 1):
         lam[d] = beta @ lam[d - 1 : d - 1 - params.p : -1] - tail * lam[d - params.p - 1]
     return lam
@@ -262,15 +264,15 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     beta = beta_vector(params)
     tpr = params.theta[-1] * params.rho
 
-    B = build_B(params)
+    B = _system_matrix(beta, tpr, p)
     lam = solve_lambda(B)
     Delta_p1 = toeplitz_delta(lam, p + 1)
     # a leading principal block of a positive definite matrix is positive
     # definite (Cauchy interlacing), so Delta_p needs no check of its own
     Delta_p = Delta_p1[:p, :p]
 
-    J = np.fliplr(np.eye(p))
-    K = np.eye(p) - tpr * J
+    eye, J, e_p, _ = _order_arrays(p)
+    K = eye - tpr * J
     theta_star = alpha * (K @ beta)
     rho_star = tpr * theta_star[-1]
     d_star = 2.0 * (1.0 - rho_star)
@@ -278,8 +280,6 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     Delta_p_inv = np.linalg.inv(Delta_p)
     Sigma_theta = alpha**2 * (K @ Delta_p_inv @ K)
 
-    e_p = np.zeros(p)
-    e_p[0] = 1.0
     P_B = alpha * (K @ Delta_p_inv)
     P_L = J @ K @ (alpha * tpr * (Delta_p_inv @ e_p) + theta_star[-1] * beta)
     phi = -theta_star[-1] / alpha
@@ -303,7 +303,7 @@ def limit_summary(params: ModelParams) -> LimitSummary:
             f"two serial-correlation variance routes disagree (rel {rel:.3g})"
         )
 
-    C_A = companion_matrix(params)
+    C_A = _companion(beta, tpr, p)
     return LimitSummary(
         params=params,
         alpha=alpha,

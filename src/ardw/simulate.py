@@ -75,7 +75,10 @@ class Trajectory:
     burn_in: int = 0
 
     def to_csv(self, path: str | Path) -> None:
-        """Series to CSV plus a JSON sidecar with parameters and seed."""
+        """Series to CSV plus a JSON sidecar with parameters and seed. A block
+        (from a list of seeds) raises ValueError: a CSV holds one series."""
+        if self.x.ndim != 1:
+            raise ValueError(f"to_csv writes one series; this block holds {len(self.x)} rows")
         path = Path(path)
         path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
         sidecar = {

@@ -11,7 +11,7 @@ from ardw.errors import (
     UnstableTheta,
     ZeroTheta,
 )
-from ardw.limit_theory import _system_matrix
+from ardw.limit_theory import _order_arrays, _system_matrix
 from ardw.text import json_text
 
 from conftest import random_stable_params
@@ -310,11 +310,29 @@ class TestLimitSummary:
 
         monkeypatch.setattr(ardw.limit_theory, "check_stability",
                             counted("check_stability", ardw.check_stability))
-        monkeypatch.setattr(np.linalg, "cond", counted("cond", np.linalg.cond))
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(ardw.limit_theory, "beta_vector",
+                            counted("beta_vector", ardw.beta_vector))
+        for name in ("cond", "eigvalsh", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         ardw.limit_summary(prm)
-        assert sorted(calls) == ["cond", "eigvalsh"]
+        assert sorted(calls) == ["beta_vector", "cond", "eigvalsh", "inv", "solve"]
+
+    def test_returned_arrays_share_nothing_with_the_next_call(self):
+        def snapshot(s):
+            return {k: v.tobytes() for k, v in vars(s).items() if isinstance(v, np.ndarray)}
+
+        prm = params([0.4, -0.3, 0.2], 0.3)
+        want = snapshot(ardw.limit_summary(prm))
+        for value in vars(ardw.limit_summary(prm)).values():
+            if isinstance(value, np.ndarray):
+                value[...] = np.nan
+        assert snapshot(ardw.limit_summary(prm)) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_cached_order_arrays_are_read_only(self, m):
+        for a in _order_arrays(m):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
     def test_gamma_singular_flag(self):
         # theta* last component vanishes exactly when theta = -rho at order 1

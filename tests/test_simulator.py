@@ -171,3 +171,11 @@ class TestSerialization:
         traj.to_csv(path)
         back = Trajectory.from_csv(path)
         assert back.seed == traj.seed == (7, 0, 50, 3)
+
+    @pytest.mark.parametrize("seeds", [[1, 2], [5]])
+    def test_block_to_csv_raises(self, tmp_path, seeds):
+        traj = ardw.simulate(ardw.DEFAULT_SUITE[0], 5, seed=seeds)
+        path = tmp_path / "block.csv"
+        with pytest.raises(ValueError, match=f"holds {len(seeds)} rows"):
+            traj.to_csv(path)
+        assert list(tmp_path.iterdir()) == []
