@@ -121,8 +121,10 @@ def solve_lambda(B: np.ndarray) -> np.ndarray:
     if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
         raise SingularB(f"system matrix numerically singular (cond ~ {cond:.3g})")
     if cond > ILL_CONDITION_THRESHOLD:
-        warnings.warn(f"autocovariance system ill-conditioned (cond ~ {cond:.3g})",
-                      RuntimeWarning)
+        warnings.warn(
+            f"autocovariance system ill-conditioned (cond ~ {cond:.3g})",
+            RuntimeWarning,
+        )
     e = _order_arrays(B.shape[0])[2]
     lam = np.linalg.solve(B, e)
     resid = np.abs(B @ lam - e).max()  # the inf-norm
@@ -133,16 +135,15 @@ def solve_lambda(B: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _order_arrays(m: int) -> tuple[np.ndarray, ...]:
-    """Read-only eye(m), its views fliplr(eye(m)) and e_1, and the index |i - j|."""
+    """Read-only eye(m) and its views fliplr(eye(m)) and e_1, for m >= 1."""
     eye = np.eye(m)
-    index = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
-    eye.flags.writeable = index.flags.writeable = False
-    return eye, eye[:, ::-1], eye[0], index
+    eye.flags.writeable = False
+    return eye, eye[:, ::-1], eye[0]
 
 
 def _symmetric_toeplitz(c: np.ndarray, m: int) -> np.ndarray:
     """The m x m matrix whose (i, j) entry is c[|i - j|]."""
-    return c[_order_arrays(m)[3]]
+    return c[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
 
 
 def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
@@ -271,7 +272,7 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     # definite (Cauchy interlacing), so Delta_p needs no check of its own
     Delta_p = Delta_p1[:p, :p]
 
-    eye, J, e_p, _ = _order_arrays(p)
+    eye, J, e_p = _order_arrays(p)
     K = eye - tpr * J
     theta_star = alpha * (K @ beta)
     rho_star = tpr * theta_star[-1]

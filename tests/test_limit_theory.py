@@ -341,7 +341,8 @@ class TestLimitSummary:
 
     def test_golden_bits(self):
         # 300 seeded stable sets, 60 for each p in 1..5, and a gamma_singular
-        # one: the JSON and the raw bytes of every matrix, as first written
+        # one: the JSON and the raw bytes of every matrix, pinned as the code
+        # wrote them before limit_summary computed beta once
         rng = np.random.default_rng(1871)
         grid = [random_stable_params(rng, p) for p in range(1, 6) for _ in range(60)]
         grid.append(params([0.5], -0.5))
