@@ -191,11 +191,9 @@ def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
     Q[0, 0] = 1.0  # unit-variance innovations: result is sigma2-free
     Sigma = Q.copy()
     for _ in range(10**6):
-        nxt = C @ Sigma @ C.T + Q
-        if np.max(np.abs(nxt - Sigma)) < 1e-14 * max(1.0, np.max(np.abs(nxt))):
-            Sigma = nxt
+        Sigma, prev = C @ Sigma @ C.T + Q, Sigma
+        if np.max(np.abs(Sigma - prev)) < 1e-14 * max(1.0, np.max(np.abs(Sigma))):
             break
-        Sigma = nxt
     else:
         raise NoConvergence("stationary covariance iteration hit the cap")
     lam = np.empty(max_lag + 1)
