@@ -36,13 +36,10 @@ from .montecarlo import (
 )
 from .serial_tests import (
     TestOutcome,
-    box_pierce_test,
-    breusch_godfrey_test,
     chi2_quantile,
     chi2_sf,
     durbin_h_test,
     dw_chi2_test,
-    ljung_box_test,
     normal_quantile,
     normal_sf,
     outcomes_to_csv,
@@ -65,8 +62,6 @@ __all__ = [
     "Trajectory",
     "alpha_scalar",
     "beta_vector",
-    "box_pierce_test",
-    "breusch_godfrey_test",
     "build_B",
     "check_stability",
     "chi2_quantile",
@@ -78,7 +73,6 @@ __all__ = [
     "dw_statistic",
     "fit",
     "limit_summary",
-    "ljung_box_test",
     "lyapunov_lambda_oracle",
     "normal_quantile",
     "normal_sf",

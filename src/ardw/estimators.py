@@ -21,7 +21,7 @@ from .errors import (
     SingularDesign,
     SingularToeplitz,
 )
-from .limit_theory import _symmetric_toeplitz
+from .limit_theory import _check_integer, _symmetric_toeplitz
 
 _COND_LIMIT = 1e14
 
@@ -52,12 +52,11 @@ def _checked_solve(G, b, error: type[ArdwError], what: str, errors: RowErrors = 
     return np.where(ok, np.linalg.solve(np.where(ok, G, np.eye(G.shape[-1])), b), np.nan)
 
 
-def lag_matrix(x: np.ndarray, p: int, width: int | None = None) -> np.ndarray:
+def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
     """Rows are the lag vectors (X_j, X_{j-1}, ..., X_{j-p+1}) for j = 0..n-1,
-    with zeros standing in for pre-sample indices. Columns past p, up to
-    width, are zero."""
+    with zeros standing in for pre-sample indices."""
     n = x.shape[-1] - 1
-    L = np.zeros((*x.shape[:-1], n, width or p))
+    L = np.zeros((*x.shape[:-1], n, p))
     for i in range(p):
         L[..., i:, i] = x[..., : n - i]
     return L
@@ -68,12 +67,13 @@ def ols_theta(x: np.ndarray, p: int,
     """Least squares estimate of the autoregressive coefficients.
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
-    A singular S raises SingularDesign. p < 1, or a series value that is not
-    finite or has magnitude >= 1e150, raises ValueError, and a series shorter
-    than p+2 SingularDesign; on a block these three raise for the whole block.
+    A singular S raises SingularDesign. A p that is not an integer >= 1, or a
+    series value that is not finite or has magnitude >= 1e150, raises
+    ValueError, and a series shorter than p+2 SingularDesign; on a block these
+    raise for the whole block.
     """
     x = np.asarray(x, dtype=float)
-    if p < 1:
+    if _check_integer("p", p) < 1:
         raise ValueError(f"model order p must be >= 1, got {p}")
     if not np.all(np.abs(x) < 1e150):  # squares and their sums stay finite
         raise ValueError("series must contain only finite values below 1e150")
@@ -137,7 +137,6 @@ class FitResult:
     rho_hat: float
     sigma2_hat: float
     dw: float
-    S_n: np.ndarray
     var_theta1_hat: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
@@ -180,9 +179,8 @@ def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
                lambda i: f"variance of theta_hat_1 is {var_theta1[i]}")
     notes = () if x.ndim > 1 else ("near_zero_theta_p",) if near_zero else (
         ("negative_sigma2_hat",) if s2 < 0.0 else ())
-    return FitResult(p=p, n=n, theta_hat=theta_hat, residuals=eps, rho_hat=rho_hat,
-                     sigma2_hat=s2, dw=dw, S_n=S, var_theta1_hat=var_theta1,
-                     warnings=notes)
+    return FitResult(p=int(p), n=n, theta_hat=theta_hat, residuals=eps, rho_hat=rho_hat,
+                     sigma2_hat=s2, dw=dw, var_theta1_hat=var_theta1, warnings=notes)
 
 
 def sample_autocov_toeplitz(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -48,10 +48,9 @@ class ModelParams:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        _check_integer("p", self.p)
+        object.__setattr__(self, "p", _check_integer("p", self.p))
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "sigma2", float(self.sigma2))
         if theta.ndim != 1 or theta.shape[0] != self.p or self.p < 1:
@@ -59,10 +58,11 @@ class ModelParams:
         check_stability(self)
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a value that is not an integer (a bool included) with ValueError."""
+def _check_integer(name: str, value) -> int:
+    """value as an int; a non-integer value (a bool included) raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_stability(params: ModelParams) -> None:

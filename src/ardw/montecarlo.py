@@ -52,9 +52,9 @@ class StudyConfig:
     def __post_init__(self):
         for name in ("params_list", "n_list", "tests"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name, v in [("reps", self.reps), ("master_seed", self.master_seed),
-                        ("burn_in", self.burn_in), *(("n", n) for n in self.n_list)]:
-            _check_integer(name, v)
+        for name in ("reps", "master_seed", "burn_in"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
+        object.__setattr__(self, "n_list", tuple(_check_integer("n", n) for n in self.n_list))
         if self.master_seed < 0 or self.burn_in < 0:
             raise ValueError("master_seed and burn_in must be >= 0")
         if self.reps < 100:
@@ -194,6 +194,7 @@ def clt_diagnostic(
     joint covariance is singular the joint check is skipped with a flag.
     Fewer than 2 successful fits raise ArdwError.
     """
+    n, reps = _check_integer("n", n), _check_integer("reps", reps)
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
@@ -275,6 +276,7 @@ def rate_diagnostic(
     The checkpoints are 8 log-spaced stages from min(1000, n_max) to n_max,
     past the first estimation stage max(50, 10p); n_max must exceed that stage.
     """
+    n_max = _check_integer("n_max", n_max)
     start = max(50, 10 * params.p)
     if n_max <= start:
         raise ValueError(f"n_max must be > the first estimation stage {start}, "

@@ -101,7 +101,7 @@ def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:
 # A square is np.float_power(v, 2), C pow as in Python's float **: v * v
 # differs from it in the last bit for about one value in a thousand.
 
-def _dw_chi2(fit, errors: RowErrors):
+def _dw_chi2(x, fit, errors: RowErrors):
     """Notes carry the fit's own warnings first."""
     tp = fit.theta_hat[..., -1]
     errors.add(np.abs(tp) <= NEAR_ZERO_THETA_P, NearZeroThetaP,
@@ -114,7 +114,7 @@ def _dw_chi2(fit, errors: RowErrors):
                                  ("theta_p_possibly_insignificant", insignificant)]
 
 
-def _durbin_h(fit, errors: RowErrors):
+def _durbin_h(x, fit, errors: RowErrors):
     radicand = 1.0 - fit.n * np.asarray(fit.var_theta1_hat)
     errors.add(~(radicand > 0.0), InapplicableH,
                lambda i: f"nonpositive radicand 1 - n*var = {radicand[i]:.3g}")
@@ -127,20 +127,21 @@ def _r1_squared(eps: np.ndarray, errors: RowErrors):
     return np.float_power(r1, 2)
 
 
-def _box_pierce(eps: np.ndarray, errors: RowErrors):
+def _box_pierce(x, fit, errors: RowErrors):
+    eps = fit.residuals
     stat = eps.shape[-1] * _r1_squared(eps, errors)
     return stat, chi2_sf(stat), []
 
 
-def _ljung_box(eps: np.ndarray, errors: RowErrors):
-    n = eps.shape[-1]
-    stat = n * (n + 2.0) * _r1_squared(eps, errors) / (n - 1.0)
+def _ljung_box(x, fit, errors: RowErrors):
+    n = fit.residuals.shape[-1]
+    stat = n * (n + 2.0) * _r1_squared(fit.residuals, errors) / (n - 1.0)
     return stat, chi2_sf(stat), []
 
 
-def _breusch_godfrey(x: np.ndarray, fit, errors: RowErrors):
-    x = np.asarray(x, dtype=float)
-    Z = lag_matrix(x, fit.p, fit.p + 1)
+def _breusch_godfrey(x, fit, errors: RowErrors):
+    # n R^2 on the lag vector and, in one more column, the zero-padded lagged residual
+    Z = lag_matrix(np.asarray(x, dtype=float), fit.p + 1)
     Z[..., fit.p] = fit.residuals[..., :-1]
     y = fit.residuals[..., 1:]
     tss = _residual_energy(y, errors)
@@ -154,10 +155,10 @@ def _breusch_godfrey(x: np.ndarray, fit, errors: RowErrors):
 
 #: every test under the one signature (x, fit, errors), in reporting order
 _TESTS = {
-    "dw_chi2": lambda x, fit, errors: _dw_chi2(fit, errors),
-    "durbin_h": lambda x, fit, errors: _durbin_h(fit, errors),
-    "box_pierce": lambda x, fit, errors: _box_pierce(fit.residuals, errors),
-    "ljung_box": lambda x, fit, errors: _ljung_box(fit.residuals, errors),
+    "dw_chi2": _dw_chi2,
+    "durbin_h": _durbin_h,
+    "box_pierce": _box_pierce,
+    "ljung_box": _ljung_box,
     "breusch_godfrey": _breusch_godfrey,
 }
 
@@ -179,10 +180,15 @@ def outcome_masks(x: np.ndarray, fit: FitResult, fit_failed: np.ndarray, level: 
     return out
 
 
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 @np.errstate(all="ignore")
-def _one(name: str, level: float, test, *args) -> TestOutcome:
-    """The outcome of test(*args) on one series; raises its error instead."""
-    stat, p_value, notes = test(*args, SERIES)
+def _one(name: str, level: float, x, fit: FitResult) -> TestOutcome:
+    """The outcome of the named test on one series; raises its error instead."""
+    stat, p_value, notes = _TESTS[name](x, fit, SERIES)
     return _outcome(name, stat, p_value, level, [note for note, on in notes if on])
 
 
@@ -191,9 +197,11 @@ def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
 
     The statistic is n (D - 2)^2 / (4 theta_hat_p^2), referred to the upper
     tail of the one-degree chi-square distribution. Requires the fitted
-    p-th coefficient to be away from zero.
+    p-th coefficient to be away from zero. A level outside (0, 1) raises
+    ValueError.
     """
-    return _one("dw_chi2", level, _dw_chi2, fit)
+    _check_level(level)
+    return _one("dw_chi2", level, None, fit)
 
 
 def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
@@ -201,26 +209,10 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
 
     Raises InapplicableH when the variance correction exceeds 1/n, the
     classical failure mode of the test on short series, or is undefined (NaN).
+    A level outside (0, 1) raises ValueError.
     """
-    return _one("durbin_h", level, _durbin_h, fit)
-
-
-def box_pierce_test(eps: np.ndarray, level: float = 0.05) -> TestOutcome:
-    """Order-1 Box-Pierce portmanteau statistic n r1^2 against chi-square."""
-    return _one("box_pierce", level, _box_pierce, np.asarray(eps, dtype=float))
-
-
-def ljung_box_test(eps: np.ndarray, level: float = 0.05) -> TestOutcome:
-    """Order-1 Ljung-Box statistic n(n+2) r1^2 / (n-1) against chi-square."""
-    return _one("ljung_box", level, _ljung_box, np.asarray(eps, dtype=float))
-
-
-def breusch_godfrey_test(
-    x: np.ndarray, fit: FitResult, level: float = 0.05
-) -> TestOutcome:
-    """Order-1 LM test: residuals regressed on the lag vector and the lagged
-    residual (zero-padded), statistic n R^2 against chi-square."""
-    return _one("breusch_godfrey", level, _breusch_godfrey, x, fit)
+    _check_level(level)
+    return _one("durbin_h", level, None, fit)
 
 
 def run_tests(
@@ -238,12 +230,11 @@ def run_tests(
     for name in names:
         if name not in _TESTS:
             raise ValueError(f"unknown test {name!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     out = []
     for name in names:
         try:
-            out.append(_one(name, level, _TESTS[name], x, fit))
+            out.append(_one(name, level, x, fit))
         except (InapplicableH, NearZeroThetaP, DegenerateResiduals,
                 SingularAuxiliaryRegression) as exc:
             out.append(_outcome(name, math.nan, math.nan, level,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import ardw
 import ardw.montecarlo
 from ardw.errors import (
+    SERIES,
     ArdwError,
     InapplicableH,
     NearZeroThetaP,
@@ -37,7 +38,7 @@ NOISES = (
     NoiseSpec(family="student_t", df=4.5),
     NoiseSpec(family="rademacher", sigma2=0.5),
 )
-FIELDS = ("theta_hat", "residuals", "rho_hat", "sigma2_hat", "dw", "S_n", "var_theta1_hat")
+FIELDS = ("theta_hat", "residuals", "rho_hat", "sigma2_hat", "dw", "var_theta1_hat")
 
 
 def bits(a) -> bytes:
@@ -194,7 +195,7 @@ class TestErrorParity:
             '"warnings": ["near_zero_theta_p"]}\n'
         )
         for test, args, error, message in [
-            (ardw.breusch_godfrey_test, (x, f), SingularAuxiliaryRegression,
+            (_TESTS["breusch_godfrey"], (x, f, SERIES), SingularAuxiliaryRegression,
              "auxiliary Gram matrix singular (cond ~ 5.96e+16)"),
             (ardw.durbin_h_test, (f,), InapplicableH,
              "nonpositive radicand 1 - n*var = -0.5"),

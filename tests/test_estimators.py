@@ -73,8 +73,11 @@ class TestOlsTheta:
             (np.arange(10.0), -1, "p must be >= 1"),
             (np.array([1.0, 2.0, np.nan, 0.5, 0.3]), 1, "finite"),
             (np.array([1.0, np.inf, 0.2, 0.5, 0.3]), 1, "finite"),
+            (np.arange(10.0), True, "p must be an integer"),
+            (np.arange(10.0), 1.5, "p must be an integer"),
+            (np.arange(10.0), "1", "p must be an integer"),
         ],
-        ids=["p_zero", "p_negative", "nan", "inf"],
+        ids=["p_zero", "p_negative", "nan", "inf", "p_bool", "p_float", "p_str"],
     )
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
         with pytest.raises(ValueError, match=message):

@@ -330,3 +330,17 @@ class TestRateDiagnostic:
     def test_report_is_json_serializable(self):
         report = ardw.rate_diagnostic(params([0.5], 0.0), n_max=5000, seed=1)
         json.dumps(report)
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    # numpy integers in place of int give the same JSON text as int itself
+    prm = params([0.5], 0.3)
+    x = ardw.simulate(prm, 50, seed=2).x
+    for result in [
+        lambda c: ardw.fit(x, c(1)).to_dict(),
+        lambda c: ardw.clt_diagnostic(prm, c(50), c(10)),
+        lambda c: ardw.rate_diagnostic(prm, c(60)),
+        lambda c: list(ardw.size_power_study(
+            small_config(n_list=(c(50),), reps=c(100), master_seed=c(1))).rows),
+    ]:
+        assert json_text(result(np.int64)) == json_text(result(int))

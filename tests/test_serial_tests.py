@@ -7,13 +7,10 @@ from ardw.errors import DegenerateResiduals, DomainError, InapplicableH, NearZer
 from ardw.estimators import FitResult, lag_matrix
 from ardw.serial_tests import (
     TEST_NAMES,
-    box_pierce_test,
-    breusch_godfrey_test,
     chi2_quantile,
     chi2_sf,
     durbin_h_test,
     dw_chi2_test,
-    ljung_box_test,
     normal_quantile,
     normal_sf,
     run_tests,
@@ -34,9 +31,25 @@ def make_fit(n=100, theta_hat=(0.5,), rho_hat=0.1, dw=2.0, var_theta1=0.001,
         residuals = np.ones(n + 1)
     return FitResult(
         p=p, n=n, theta_hat=theta_hat, residuals=np.asarray(residuals, float),
-        rho_hat=rho_hat, sigma2_hat=1.0, dw=dw, S_n=np.eye(p),
-        var_theta1_hat=var_theta1, warnings=tuple(warnings),
+        rho_hat=rho_hat, sigma2_hat=1.0, dw=dw, var_theta1_hat=var_theta1,
+        warnings=tuple(warnings),
     )
+
+
+def portmanteau(eps):
+    """The Box-Pierce and Ljung-Box outcomes on a hand-made residual series."""
+    f = make_fit(n=len(eps) - 1, residuals=eps)
+    return run_tests(eps, f, names=("box_pierce", "ljung_box"))
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from ardw import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ardw.__all__)
+    assert all(namespace[name] is getattr(ardw, name) for name in ardw.__all__)
+    for name in ("box_pierce_test", "ljung_box_test", "breusch_godfrey_test"):
+        assert not hasattr(ardw, name) and not hasattr(ardw.serial_tests, name)
 
 
 class TestDistributionUtilities:
@@ -132,8 +145,7 @@ class TestPortmanteau:
     def test_hand_values(self):
         eps = np.array([1.0, 2.0, 3.0, 4.0])
         # r1 = 20/30, n = 4
-        bp = box_pierce_test(eps)
-        lb = ljung_box_test(eps)
+        bp, lb = portmanteau(eps)
         assert bp.statistic == pytest.approx(4.0 * (2.0 / 3.0) ** 2, rel=1e-12)
         assert lb.statistic == pytest.approx(
             4.0 * 6.0 * (2.0 / 3.0) ** 2 / 3.0, rel=1e-12
@@ -141,25 +153,25 @@ class TestPortmanteau:
 
     def test_ljung_box_dominates_box_pierce(self, rng):
         for _ in range(10):
-            eps = rng.standard_normal(int(rng.integers(10, 200)))
-            assert ljung_box_test(eps).statistic >= box_pierce_test(eps).statistic
+            bp, lb = portmanteau(rng.standard_normal(int(rng.integers(10, 200))))
+            assert lb.statistic >= bp.statistic
 
     def test_ratio_shrinks_to_one(self, rng):
-        eps = rng.standard_normal(10_000)
-        bp, lb = box_pierce_test(eps), ljung_box_test(eps)
+        bp, lb = portmanteau(rng.standard_normal(10_000))
         if bp.statistic > 0:
             assert lb.statistic / bp.statistic == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_residuals_rejected(self):
-        with pytest.raises(DegenerateResiduals):
-            box_pierce_test(np.zeros(10))
+        for o in portmanteau(np.zeros(10)):
+            assert o.warnings == ("inapplicable", DegenerateResiduals.__name__)
+            assert np.isnan(o.statistic) and not o.reject
 
 
 class TestBreuschGodfrey:
     def test_matches_lstsq_oracle(self, rng):
         traj = ardw.simulate(params([0.4, -0.3], 0.3), 300, seed=5)
         f = ardw.fit(traj.x, 2)
-        out = breusch_godfrey_test(traj.x, f)
+        (out,) = run_tests(traj.x, f, names=("breusch_godfrey",))
         # independent uncentered R^2 via lstsq
         Z = np.column_stack([lag_matrix(traj.x, 2), f.residuals[:-1]])
         y = f.residuals[1:]
@@ -170,7 +182,7 @@ class TestBreuschGodfrey:
 
     def test_detects_correlated_noise(self):
         traj = ardw.simulate(params([0.5], 0.5), 2000, seed=3)
-        out = breusch_godfrey_test(traj.x, ardw.fit(traj.x, 1))
+        (out,) = run_tests(traj.x, ardw.fit(traj.x, 1), names=("breusch_godfrey",))
         assert out.reject
 
 
@@ -186,8 +198,7 @@ class TestRunTests:
         f0 = ardw.fit(traj.x, 1)
         f = FitResult(
             p=1, n=f0.n, theta_hat=f0.theta_hat, residuals=f0.residuals,
-            rho_hat=f0.rho_hat, sigma2_hat=f0.sigma2_hat, dw=f0.dw, S_n=f0.S_n,
-            var_theta1_hat=1.0,
+            rho_hat=f0.rho_hat, sigma2_hat=f0.sigma2_hat, dw=f0.dw, var_theta1_hat=1.0,
         )
         outcomes = run_tests(traj.x, f, names=("durbin_h",))
         assert len(outcomes) == 1
@@ -219,8 +230,13 @@ class TestRunTests:
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05, float("nan")])
     def test_level_outside_unit_interval(self, level):
-        with pytest.raises(ValueError, match="level"):
-            run_tests(np.ones(101), make_fit(), level=level)
+        f = make_fit(var_theta1=0.0)
+        for call in (lambda: run_tests(np.ones(101), f, level=level),
+                     lambda: run_tests(np.ones(101), f, level=level, names=()),
+                     lambda: dw_chi2_test(f, level),
+                     lambda: durbin_h_test(f, level)):
+            with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
+                call()
 
     def test_monotone_in_level(self):
         traj = ardw.simulate(params([0.5], 0.2), 800, seed=2)
