@@ -1,9 +1,13 @@
 """Trajectory generation for the AR(p) model with AR(1)-correlated noise.
 
 A single documented PRNG (numpy PCG64 seeded through SeedSequence) guarantees
-identical streams for identical seeds on every platform. Replication seeds
-for parallel studies are derived from (master_seed, context indices) through
-SeedSequence spawning keys, so results never depend on scheduling.
+identical streams for identical seeds on every platform. A replication's
+seed is the SeedSequence entropy itself: the tuple (master_seed, context
+indices), or (seed,) for an int seed; no spawn key is used. So results never
+depend on scheduling. A block of seeds is hashed in one numpy pass that
+reproduces SeedSequence's algorithm bit for bit, and each row's PCG64 takes
+its precomputed words, so every row draws what
+default_rng(SeedSequence(entropy)) would draw.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .limit_theory import ModelParams
+from .limit_theory import ModelParams, _check_integer
 from .text import csv_text, json_text
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
@@ -103,9 +107,141 @@ class Trajectory:
         )
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx); every hash is
+# taken on uint32 words, so products wrap modulo 2**32 as numpy's do. The
+# operands are 0-d arrays: numpy combines those with an array faster than
+# Python ints or numpy scalars, which counts on blocks of a few rows.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_POOL = 4
+
+
+def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k modulo 2**32 for k = 0..count, as a column: the hash
+    constant of each successive hashmix call."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, _POOL * _POOL)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL)
+_OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]
+
+
+def _hashmix(value: np.ndarray, chain: np.ndarray, k: int, calls: int) -> np.ndarray:
+    """numpy's hashmix of value, for `calls` successive calls starting at
+    call k of chain, one call per row of the result."""
+    value = (value ^ chain[k:k + calls]) * chain[k + 1:k + calls + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _state_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for
+    each column e of an (L, rows) uint32 entropy array, column j holding
+    lengths[j] words and zeros past them, every column hashed at once."""
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    # numpy hashes a zero for each pool word past a short entropy
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, _CHAIN_A, 0, _POOL)
+    # each pool word mixes into the others, in numpy's (source, target) order
+    calls = _POOL - 1
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _CHAIN_A, _POOL + calls * src, calls))
+    if len(entropy) > _POOL:
+        chain = _hash_chain(int(_CHAIN_A[-1, 0]), _MULT_A, _POOL * (len(entropy) - _POOL))
+        for k, word in enumerate(entropy[_POOL:]):
+            mixed = _mix(pool, _hashmix(word, chain, _POOL * k, _POOL))
+            pool = np.where(lengths > _POOL + k, mixed, pool)
+    state = _hashmix(np.concatenate((pool, pool)), _CHAIN_B, 0, 2 * _POOL).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+
+
+def _seed_words(seeds: list) -> np.ndarray:
+    """(rows, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for
+    each checked seed, whose entropy e is the seed if a tuple and (seed,) if
+    an int. Each int enters e as its 32-bit words, low first (one word for
+    0)."""
+    entropies = [s if isinstance(s, tuple) else (s,) for s in seeds]
+    flat = [v for e in entropies for v in e]
+    top = max(flat, default=0)
+    wide = max(1, -(-top.bit_length() // 32))
+    # ints past uint64 (SeedSequence takes any size) split as Python objects
+    ints = np.array(flat, dtype=np.uint64 if top < 2**64 else object)
+    words = np.stack([(ints >> (32 * k)) & 0xFFFFFFFF for k in range(wide)], axis=1)
+    counts = np.ones(len(flat), dtype=np.intp)
+    for k in range(1, wide):
+        counts += ints >= 2 ** (32 * k)
+    sizes = np.fromiter(map(len, entropies), dtype=np.intp, count=len(entropies))
+    lengths = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+    row = np.repeat(np.arange(len(seeds)), lengths)
+    at = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    entropy = np.zeros((lengths.max(initial=0), len(seeds)), dtype=np.uint32)
+    entropy[at, row] = words[np.arange(wide) < counts[:, None]]
+    return _state_words(entropy, lengths)
+
+
+class _SeedWords:
+    """A SeedSequence hashed ahead of time: it holds the four uint64 words
+    that PCG64 asks it for, and nothing else. PCG64 reads the words' memory,
+    so they must be a contiguous row of native uint64. It is registered as a
+    numpy ISeedSequence on first use, as numpy.random is not imported with
+    ardw."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (_POOL, np.uint64):
+            raise ValueError("holds only the 4 uint64 words that seed PCG64")
+        return self.words
+
+
+def _check_seed_int(value) -> int:
+    value = _check_integer("seed", value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return value
+
+
+def _check_seed(seed) -> int | tuple[int, ...]:
+    """seed, an int or a non-empty tuple of ints, with every int as int."""
+    if not isinstance(seed, tuple):
+        return _check_seed_int(seed)
+    if not seed:
+        raise ValueError("a seed tuple needs at least one integer")
+    return tuple(map(_check_seed_int, seed))
+
+
+def _check_seeds(seeds: list) -> list:
+    """Each seed checked as _check_seed checks it. A block of plain ints
+    >= 0, as studies pass, is checked in one pass over all its ints."""
+    flat = [v for s in seeds for v in (s if type(s) is tuple else (s,))]
+    if set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and () not in seeds:
+        return seeds
+    return [_check_seed(s) for s in seeds]
+
+
+def _generators(seeds: list) -> list[np.random.Generator]:
+    """One generator per checked seed, drawing what
+    default_rng(SeedSequence(entropy)) draws (see _seed_words)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _seed_words(seeds)]
+
+
 def derive_rng(master_seed: int, *context: int) -> np.random.Generator:
-    """Deterministic per-task generator from a master seed and context indices."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *context)))
+    """Deterministic per-task generator from a master seed and context
+    indices: default_rng(SeedSequence((master_seed, *context)))."""
+    return _generators(_check_seeds([(master_seed, *context)]))[0]
 
 
 def simulate(
@@ -122,11 +258,14 @@ def simulate(
     steps before the first reported index, so the observation recursion
     holds exactly at every reported index. A list of seeds gives a block:
     one path per seed, each drawn as that seed alone would draw it, as the
-    rows of x, eps and v.
+    rows of x, eps and v. n, burn_in and every int of a seed must be
+    integers (numpy integers are stored as int) and seeds >= 0, or
+    ValueError.
     """
     # importing scipy.signal takes about a second; only simulating needs it
     from scipy.signal import lfilter
 
+    n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in)
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
     if burn_in < 0:
@@ -135,10 +274,9 @@ def simulate(
         noise = NoiseSpec(sigma2=params.sigma2)
     rho = params.rho
 
-    seeds = seed if isinstance(seed, list) else [seed]
+    seeds = _check_seeds(seed if isinstance(seed, list) else [seed])
     v = np.empty((len(seeds), burn_in + n + 1))
-    for row, s in zip(v, seeds):
-        rng = derive_rng(*s) if isinstance(s, tuple) else derive_rng(s)
+    for row, rng in zip(v, _generators(seeds)):
         row[:] = noise.draw(rng, v.shape[1])
     eps = np.empty_like(v)
     eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
@@ -146,6 +284,8 @@ def simulate(
     v, eps = v[:, burn_in:], eps[:, burn_in:]
     # observation recursion with zero pre-sample values, run in C
     x = lfilter([1.0], np.concatenate(([1.0], -params.theta)), eps)
-    if not isinstance(seed, list):
-        x, eps, v = x[0], eps[0], v[0]
+    if isinstance(seed, list):
+        seed = seeds
+    else:
+        x, eps, v, seed = x[0], eps[0], v[0], seeds[0]
     return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ardw
-from ardw.simulate import NoiseSpec, Trajectory, derive_rng
+from ardw.simulate import NoiseSpec, Trajectory, _generators, _seed_words, derive_rng
 
 
 class ZeroNoise(NoiseSpec):
@@ -179,3 +186,84 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"holds {len(seeds)} rows"):
             traj.to_csv(path)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSeedChecks:
+    def test_numpy_int_seed_round_trips(self, tmp_path):
+        traj = ardw.simulate(STANDARD, 50, seed=np.int64(3), burn_in=np.int32(4))
+        assert type(traj.seed) is int and type(traj.burn_in) is int
+        assert np.array_equal(traj.x, ardw.simulate(STANDARD, 50, seed=3, burn_in=4).x)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        back = Trajectory.from_csv(path)
+        assert (back.seed, back.burn_in) == (3, 4)
+        assert np.array_equal(back.x, traj.x)
+
+    def test_numpy_ints_in_tuples_are_stored_as_int(self):
+        traj = ardw.simulate(STANDARD, 50, seed=[(np.uint8(7), 1), np.int64(2)])
+        assert traj.seed == [(7, 1), 2]
+        assert [type(v) for v in (*traj.seed[0], traj.seed[1])] == [int, int, int]
+
+    @pytest.mark.parametrize("kw", [
+        {"n": 50.0}, {"burn_in": 2.0}, {"burn_in": True}, {"seed": 1.5},
+        {"seed": True}, {"seed": (3, True)}, {"seed": (3, 1.0)}, {"seed": [1, 1.5]},
+        {"seed": ()}, {"seed": [()]}, {"seed": ((1, 2),)}, {"seed": "3"},
+    ], ids=["n_float", "burn_in_float", "burn_in_bool", "seed_float", "seed_bool",
+            "tuple_bool", "tuple_float", "list_float", "empty_tuple", "list_empty_tuple",
+            "nested_tuple", "seed_str"])
+    def test_non_integers_rejected(self, kw):
+        with pytest.raises(ValueError):
+            ardw.simulate(STANDARD, **{"n": 50, **kw})
+
+    @pytest.mark.parametrize("seed", [-1, (5, -2), [0, -3], np.int64(-4)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="non-negative"):
+            ardw.simulate(STANDARD, 50, seed=seed)
+
+    def test_derive_rng_checks_its_ints(self):
+        with pytest.raises(ValueError):
+            derive_rng(1, 2.0)
+
+
+WORD = st.integers(0, 2**130 - 1)
+SEED = st.one_of(WORD, st.lists(WORD, min_size=1, max_size=6).map(tuple))
+
+
+class TestSeeder:
+    """The block seeder re-implements numpy's SeedSequence hash; numpy is the
+    oracle, so a numpy release that changes the hash fails here."""
+
+    @example([0])
+    @example([2**32 - 1])
+    @example([2**32])
+    @example([2**64])
+    @example([(1203, 4, 2000, 999)])
+    @example([0, 2**40, (1, 2**64), (3,)])
+    @example([(1, 2, 3, 4, 5), 7, (2**64, 2**40, 9)])
+    @given(st.lists(SEED, min_size=1, max_size=8))
+    def test_matches_seed_sequence(self, seeds):
+        words = _seed_words(seeds)
+        for seed, row, rng in zip(seeds, words, _generators(seeds)):
+            sequence = np.random.SeedSequence(seed)
+            assert np.array_equal(row, sequence.generate_state(4, np.uint64))
+            expected = np.random.default_rng(sequence)
+            assert np.array_equal(rng.integers(0, 2**63, 4), expected.integers(0, 2**63, 4))
+
+    def test_import_leaves_numpy_random_out(self):
+        # the seeder registers with numpy.random on first use, so the
+        # commands that never simulate do not import it
+        env = dict(os.environ, PYTHONPATH=str(Path(ardw.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, ardw; print('numpy.random' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout == "False\n"
+
+    def test_block_rows_do_not_depend_on_their_neighbours(self):
+        seeds = [(7, 0, 50, 3), 11, (2**40, 1), 11, (5,), 2**33]
+        block = ardw.simulate(STANDARD, 40, seed=seeds, burn_in=3)
+        for i, seed in enumerate(seeds):
+            one = ardw.simulate(STANDARD, 40, seed=seed, burn_in=3)
+            assert np.array_equal(block.x[i], one.x)
+            assert np.array_equal(block.v[i], one.v)
+        assert np.array_equal(block.x[1], block.x[3])
