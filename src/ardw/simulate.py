@@ -191,9 +191,9 @@ def _seed_words(seeds: list) -> np.ndarray:
 class _SeedWords:
     """A SeedSequence hashed ahead of time: it holds the four uint64 words
     that PCG64 asks it for, and nothing else. PCG64 reads the words' memory,
-    so they must be a contiguous row of native uint64. It is registered as a
-    numpy ISeedSequence on first use, as numpy.random is not imported with
-    ardw."""
+    so they must be a contiguous row of native uint64. _generators registers
+    it as a numpy ISeedSequence on each call (registering again is a no-op),
+    so ardw does not import numpy.random itself."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -220,15 +220,6 @@ def _check_seed(seed) -> int | tuple[int, ...]:
     return tuple(map(_check_seed_int, seed))
 
 
-def _check_seeds(seeds: list) -> list:
-    """Each seed checked as _check_seed checks it. A block of plain ints
-    >= 0, as studies pass, is checked in one pass over all its ints."""
-    flat = [v for s in seeds for v in (s if type(s) is tuple else (s,))]
-    if set(map(type, flat)) <= {int} and min(flat, default=0) >= 0 and () not in seeds:
-        return seeds
-    return [_check_seed(s) for s in seeds]
-
-
 def _generators(seeds: list) -> list[np.random.Generator]:
     """One generator per checked seed, drawing what
     default_rng(SeedSequence(entropy)) draws (see _seed_words)."""
@@ -241,7 +232,7 @@ def _generators(seeds: list) -> list[np.random.Generator]:
 def derive_rng(master_seed: int, *context: int) -> np.random.Generator:
     """Deterministic per-task generator from a master seed and context
     indices: default_rng(SeedSequence((master_seed, *context)))."""
-    return _generators(_check_seeds([(master_seed, *context)]))[0]
+    return _generators([_check_seed((master_seed, *context))])[0]
 
 
 def simulate(
@@ -274,7 +265,7 @@ def simulate(
         noise = NoiseSpec(sigma2=params.sigma2)
     rho = params.rho
 
-    seeds = _check_seeds(seed if isinstance(seed, list) else [seed])
+    seeds = [_check_seed(s) for s in (seed if isinstance(seed, list) else [seed])]
     v = np.empty((len(seeds), burn_in + n + 1))
     for row, rng in zip(v, _generators(seeds)):
         row[:] = noise.draw(rng, v.shape[1])
