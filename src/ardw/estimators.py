@@ -43,8 +43,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _checked_solve(G, b, error: type[ArdwError], what: str, errors: RowErrors = SERIES):
     """Solve G z = b (b with a trailing axis of length 1) where cond(G) is
     finite and <= _COND_LIMIT; elsewhere `error`, and z is NaN."""
-    finite = np.isfinite(G).all(axis=(-2, -1))[..., None, None]
-    cond = np.linalg.cond(np.where(finite, G, 0.0))  # inf for a zero matrix
+    G = np.where(np.isfinite(G).all(axis=(-2, -1))[..., None, None], G, 0.0)
+    # cond(G) <= ||G||_F**m / |det G| for m x m G: where that bound is at most
+    # _COND_LIMIT / 100 the gate passes without an SVD. G is scaled to a
+    # largest entry of 1 first (NaN for a zero matrix), so the bound cannot
+    # overflow and an underflow only sends a matrix to the SVD.
+    with np.errstate(invalid="ignore"):
+        unit = G / np.abs(G).max(axis=(-2, -1), keepdims=True)
+        cleared = (np.linalg.norm(unit, axis=(-2, -1)) ** G.shape[-1]
+                   <= _COND_LIMIT / 100 * np.abs(np.linalg.det(unit)))
+    cond = np.zeros(cleared.shape)
+    if not cleared.all():
+        cond[~cleared] = np.linalg.cond(G[~cleared])  # inf for a zero matrix
     ok = cond <= _COND_LIMIT
     errors.add(~ok, error, lambda i: f"{what} singular (cond ~ {cond[i]:.3g})")
     # one singular matrix would make the whole stacked solve raise

@@ -22,7 +22,7 @@ from .errors import ArdwError, RowErrors
 from .estimators import fit, lag_matrix
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, outcome_masks
-from .simulate import NoiseSpec, simulate
+from .simulate import NoiseSpec, _check_length, _check_seed_int, _paths, simulate
 from .text import csv_text
 
 #: documented default parameter sets spanning orders 1..3 and
@@ -114,10 +114,12 @@ BLOCK_ELEMENTS = 2**16
 def _replicate(params, n, noise, seeds, burn_in=0, level=0.05, names=()):
     """Simulate, fit and test the path of each seed in turn, in blocks of at
     most BLOCK_ELEMENTS // n rows; yields per block the fits, their errors
-    and, per test name, the masks (reject, inapplicable) of `outcome_masks`."""
+    and, per test name, the masks (reject, inapplicable) of `outcome_masks`.
+    The arguments are those of simulate, already checked: the seeds are
+    tuples of ints."""
     rows = max(1, BLOCK_ELEMENTS // n)
     for start in range(0, len(seeds), rows):
-        x = simulate(params, n, noise, seeds[start:start + rows], burn_in).x
+        x = _paths(params, n, noise, seeds[start:start + rows], burn_in)[0]
         errors = RowErrors(len(x))
         fits = fit(x, params.p, errors)
         yield fits, errors, outcome_masks(x, fits, errors.failed, level, names)
@@ -143,8 +145,10 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     Deterministic for a fixed master_seed whatever the worker count:
     replication seeds depend only on their grid coordinates and results are
     merged in grid order. workers > 1 runs the chunks on one process pool
-    for the whole study, of at most os.cpu_count() processes.
+    for the whole study, of at most os.cpu_count() processes; workers must
+    be an integer >= 1, or ValueError.
     """
+    workers = _check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -198,6 +202,8 @@ def clt_diagnostic(
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     limits: LimitSummary = limit_summary(params)
+    _check_length(params, n)
+    seed = _check_seed_int(seed)
     kept, first = [], None
     seeds = [(seed, rep) for rep in range(reps)]
     for fits, errors, _ in _replicate(params, n, noise, seeds):

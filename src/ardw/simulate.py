@@ -46,18 +46,30 @@ class NoiseSpec:
         if self.family == "student_t" and not (self.df > 4.0):
             raise ValueError("student_t noise needs df > 4 (finite 4th moment)")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Centered innovations with variance exactly sigma2."""
+    def draw(self, rng: np.random.Generator | list, size: int | tuple[int, int]) -> np.ndarray:
+        """Centered innovations with variance exactly sigma2: size of them from
+        one generator, or from a list of generators a block of shape
+        size = (len(rng), m) whose row i is what rng[i] alone draws for m."""
+        block, family = isinstance(rng, list), self.family
+        out = np.empty(size if block else (1, size))
+        m, a = out.shape[1], np.sqrt(3.0 * self.sigma2)
+        # each row draws into its place (a gaussian row without a temporary),
+        # then one affine map scales the block with the operations of one row
+        for row, g in zip(out, rng if block else [rng]):
+            if family == "gaussian":
+                g.standard_normal(out=row)
+            else:
+                row[:] = (g.uniform(-a, a, m) if family == "uniform" else
+                          g.standard_t(self.df, m) if family == "student_t" else
+                          g.integers(0, 2, m))
         s = np.sqrt(self.sigma2)
-        if self.family == "gaussian":
-            return s * rng.standard_normal(size)
-        if self.family == "uniform":
-            a = np.sqrt(3.0 * self.sigma2)
-            return rng.uniform(-a, a, size)
-        if self.family == "student_t":
-            scale = s / np.sqrt(self.df / (self.df - 2.0))
-            return scale * rng.standard_t(self.df, size)
-        return s * (2.0 * rng.integers(0, 2, size) - 1.0)
+        if family == "gaussian":
+            out *= s
+        elif family == "student_t":
+            out *= s / np.sqrt(self.df / (self.df - 2.0))
+        elif family == "rademacher":
+            out[:] = s * (2.0 * out - 1.0)
+        return out if block else out[0]
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,11 @@ def derive_rng(master_seed: int, *context: int) -> np.random.Generator:
     return _generators([_check_seed((master_seed, *context))])[0]
 
 
+def _check_length(params: ModelParams, n: int) -> None:
+    if n < params.p + 2:
+        raise ValueError(f"need n >= p+2 = {params.p + 2}")
+
+
 def simulate(
     params: ModelParams,
     n: int,
@@ -253,30 +270,34 @@ def simulate(
     integers (numpy integers are stored as int) and seeds >= 0, or
     ValueError.
     """
+    n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in)
+    _check_length(params, n)
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    seeds = [_check_seed(s) for s in (seed if isinstance(seed, list) else [seed])]
+    x, eps, v = _paths(params, n, noise, seeds, burn_in)
+    if isinstance(seed, list):
+        seed = seeds
+    else:
+        x, eps, v, seed = x[0], eps[0], v[0], seeds[0]
+    return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)
+
+
+def _paths(params: ModelParams, n: int, noise: NoiseSpec | None, seeds: list,
+           burn_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, eps and v blocks of simulate, one row per seed, from arguments
+    that are already checked (seeds as _check_seed returns them)."""
     # importing scipy.signal takes about a second; only simulating needs it
     from scipy.signal import lfilter
 
-    n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in)
-    if n < params.p + 2:
-        raise ValueError(f"need n >= p+2 = {params.p + 2}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     if noise is None:
         noise = NoiseSpec(sigma2=params.sigma2)
     rho = params.rho
-
-    seeds = [_check_seed(s) for s in (seed if isinstance(seed, list) else [seed])]
-    v = np.empty((len(seeds), burn_in + n + 1))
-    for row, rng in zip(v, _generators(seeds)):
-        row[:] = noise.draw(rng, v.shape[1])
+    v = noise.draw(_generators(seeds), (len(seeds), burn_in + n + 1))
     eps = np.empty_like(v)
     eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
     eps[:, 1:], _ = lfilter([1.0], [1.0, -rho], v[:, 1:], zi=rho * eps[:, :1])
     v, eps = v[:, burn_in:], eps[:, burn_in:]
     # observation recursion with zero pre-sample values, run in C
     x = lfilter([1.0], np.concatenate(([1.0], -params.theta)), eps)
-    if isinstance(seed, list):
-        seed = seeds
-    else:
-        x, eps, v, seed = x[0], eps[0], v[0], seeds[0]
-    return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)
+    return x, eps, v

@@ -27,7 +27,7 @@ from ardw.errors import (
     SingularDesign,
 )
 from ardw.serial_tests import _TESTS, TEST_NAMES, outcome_masks
-from ardw.simulate import NoiseSpec
+from ardw.simulate import NoiseSpec, derive_rng
 from ardw.text import json_text
 
 from conftest import random_stable_params
@@ -257,6 +257,33 @@ def test_one_series_outputs_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "78c246fc985b36329d18ce91aec5823fbe1dc651af316f144996276959ef94bb"
     )
+
+
+# sha256 of NoiseSpec(family, sigma2=2.5, df=6).draw(derive_rng(7), 1001) and
+# of x, eps and v of a 3-row simulate block, as the row-by-row draws gave
+# them; no study golden covers uniform or rademacher noise. They live here,
+# not in test_simulator.py, which also runs on the oldest numpy and scipy.
+DRAW_GOLDENS = {
+    "gaussian": ("0a2cbaadf7ced9711a4b49b0d6e9bfd60ced4a57befcd53d7fdaeab51e6efd6f",
+                 "2763d0dec833b6a576e690bce4dee20a40f6fbdbb300f7067b8ae9e0e27ae366"),
+    "uniform": ("3ecd8c993d5c192fd9aeea8cc19ffbfde9f2f605c38ec249db3f294eb4d8dd29",
+                "cafcd58ec4352426b76c79c66d65da0d5eb845cc5e2213f80cce9b0f174e4940"),
+    "student_t": ("c36d24ffec5b247e5cd912970819710a37d14b0779ed8648857310e75de08764",
+                  "13b8409044d76d41d883503553c133f268c575426773abd98c5ab9b655ae3d0e"),
+    "rademacher": ("921f397c52924cdb326f8f543b554d0538944e30cb7a85498b4c86bd2633207a",
+                   "b0fe683c5c78a067c6921a780c7c45173707b4c2fd30cf82a5e3ce51e5929ede"),
+}
+
+
+@pytest.mark.parametrize("family", list(DRAW_GOLDENS))
+def test_draws_golden(family):
+    noise = NoiseSpec(family, sigma2=2.5, df=6)
+    draws = noise.draw(derive_rng(7), 1001)
+    traj = ardw.simulate(ardw.ModelParams(p=2, theta=[0.4, -0.3], rho=0.2), 60, noise,
+                         seed=[3, (5, 1), 2**40], burn_in=4)
+    assert (hashlib.sha256(bits(draws)).hexdigest(),
+            hashlib.sha256(bits(traj.x) + bits(traj.eps) + bits(traj.v)).hexdigest()
+            ) == DRAW_GOLDENS[family]
 
 
 def test_import_leaves_scipy_signal_out():

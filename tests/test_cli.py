@@ -305,6 +305,16 @@ class TestDiagnoseCommand:
         assert captured.out == ""
         assert "reps must be >= 2" in json.loads(captured.err)["message"]
 
+    def test_clt_negative_seed_exit_2(self, capsys):
+        assert run(
+            ["diagnose", "--kind", "clt", "--theta", "0.5", "--rho", "0.3",
+             "--n", "100", "--reps", "20", "--seed", "-1"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('{"error": "ValueError", '
+                                '"message": "expected non-negative integer"}\n')
+
     def test_rate(self, capsys):
         assert run(
             ["diagnose", "--kind", "rate", "--theta", "0.5", "--rho", "0.0",

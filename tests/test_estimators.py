@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ardw
-from ardw.errors import DegenerateResiduals, SingularDesign, SingularToeplitz
-from ardw.estimators import lag_matrix, sample_autocov_toeplitz
+from ardw.errors import DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
+from ardw.estimators import _checked_solve, lag_matrix, sample_autocov_toeplitz
 
 
 def params(theta, rho, sigma2=1.0):
@@ -82,6 +84,95 @@ class TestOlsTheta:
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
         with pytest.raises(ValueError, match=message):
             ardw.ols_theta(x, p)
+
+
+KINDS = ("random", "near_singular", "gram", "indefinite", "zero", "nan", "inf")
+
+
+def gate_matrix(kind: str, m: int, seed: int, log_cond: float) -> np.ndarray:
+    """An m x m matrix of the given kind; log_cond sets how close to singular
+    the near-singular, Gram and indefinite kinds are."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((m, m))
+    if kind == "gram":  # columns that differ by 10**(-log_cond / 2)
+        X = rng.standard_normal((m + 3, 1)) + 10 ** (-log_cond / 2) * rng.standard_normal(
+            (m + 3, m))
+        return X.T @ X
+    G = rng.standard_normal((m, m))
+    if kind in ("nan", "inf"):
+        G[rng.integers(m), rng.integers(m)] = np.nan if kind == "nan" else -np.inf
+    if kind in ("random", "nan", "inf"):
+        return G
+    U, V = np.linalg.qr(G)[0], np.linalg.qr(rng.standard_normal((m, m)))[0]
+    s = np.logspace(0, -log_cond, m)
+    if kind == "indefinite":
+        return U @ np.diag(s * rng.choice([-1.0, 1.0], m)) @ U.T
+    return U @ np.diag(s) @ V.T
+
+
+@st.composite
+def gate_blocks(draw):
+    """A stack of 1 to 6 matrices of one order from 1 to 6, each of any kind
+    and scaled by 10**k, |k| <= 150."""
+    m = draw(st.integers(1, 6))
+    kinds = st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1),
+                      st.floats(0.0, 20.0), st.integers(-150, 150))
+    return np.stack([gate_matrix(kind, m, seed, log_cond) * 10.0**k
+                     for kind, seed, log_cond, k in draw(st.lists(kinds, min_size=1,
+                                                                  max_size=6))])
+
+
+def rotated(s):
+    """diag(s) turned by a fixed rotation, so it has singular values s."""
+    U = np.linalg.qr(np.random.default_rng(5).standard_normal((len(s), len(s))))[0]
+    return U @ np.diag(s) @ U.T
+
+
+class TestGate:
+    """_checked_solve clears most matrices by a determinant bound and runs an
+    SVD only on the rest; the rows it fails and their messages must be those
+    of the SVD gate cond(G) <= 1e14 applied to every matrix."""
+
+    @example(np.stack([np.diag([1.0, 1e-14]), np.diag([1.0, 0.9999999e-14]),
+                       np.diag([1.0, 1.0000001e-14])]))
+    @example(np.stack([rotated([1.0, 1e-7, 1e-14]), rotated([1.0, 0.5, 0.99e-14]),
+                       rotated([1.0, 0.5, 1.01e-14])]))
+    @example(np.stack([np.diag([1.0, 1e-12]), rotated([1.0, 1e-12]), np.eye(2) * 5e-324]))
+    @example(np.stack([rotated([1e150, 1.0, 1e136]), rotated([1e-150, 1e-158, 1e-164])]))
+    @given(gate_blocks())
+    def test_screen_matches_svd_gate(self, G):
+        finite = np.isfinite(G).all(axis=(-2, -1))[..., None, None]
+        cond = np.linalg.cond(np.where(finite, G, 0.0))
+        ok = cond <= 1e14
+        b = np.ones((*G.shape[:-1], 1))
+        errors = RowErrors(len(G))
+        z = _checked_solve(G, b, SingularDesign, "design Gram matrix", errors)
+        assert np.array_equal(errors.failed, ~ok)
+        messages = [f"design Gram matrix singular (cond ~ {c:.3g})" for c in cond]
+        for i, g in enumerate(G):
+            if ok[i]:
+                one = _checked_solve(g, b[i], SingularDesign, "design Gram matrix")
+                assert np.array_equal(one, z[i], equal_nan=True)
+            else:
+                assert str(errors.error(i)) == messages[i]
+                with pytest.raises(SingularDesign) as info:
+                    _checked_solve(g, b[i], SingularDesign, "design Gram matrix")
+                assert str(info.value) == messages[i]
+        ok = ok[:, None, None]
+        expected = np.where(ok, np.linalg.solve(np.where(ok, G, np.eye(G.shape[-1])), b), np.nan)
+        assert np.array_equal(z, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("value, p, message", [
+        (0.0, 1, "design Gram matrix singular (cond ~ inf)"),
+        (0.0, 3, "design Gram matrix singular (cond ~ inf)"),
+        (1e-160, 2, "variance of theta_hat_1 is inf"),
+        (1e-160, 3, "variance of theta_hat_1 is nan"),
+    ])
+    def test_constant_series_message(self, value, p, message):
+        with pytest.raises(SingularDesign) as info:
+            ardw.fit(np.full(40, value), p)
+        assert str(info.value) == message
 
 
 class TestResiduals:

@@ -37,6 +37,28 @@ def small_config(**kw):
     return ardw.StudyConfig(**base)
 
 
+def serial_pool(monkeypatch) -> list:
+    """Replace the study's process pool by one that maps in this process and
+    records the size it was asked for in the returned list."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ardw.montecarlo, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestStudyConfig:
     def test_reps_floor(self):
         with pytest.raises(ValueError):
@@ -117,28 +139,27 @@ class TestSizePowerStudy:
         assert serial == parallel
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps in this process, so
         # the huge worker count starts no process
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(ardw.montecarlo, "ProcessPoolExecutor", SerialPool)
+        sizes = serial_pool(monkeypatch)
         cfg = small_config(reps=100)
         table = ardw.size_power_study(cfg, workers=10**6)
         assert all(size <= os.cpu_count() for size in sizes)
         assert table == ardw.size_power_study(cfg, workers=1)
+
+    @pytest.mark.parametrize("workers", [1.5, "2", True, None],
+                             ids=["float", "str", "bool", "none"])
+    def test_workers_must_be_an_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            ardw.size_power_study(small_config(reps=100), workers=workers)
+
+    def test_numpy_integer_workers_and_seed_stored_as_int(self, monkeypatch):
+        sizes = serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = small_config(reps=100, master_seed=np.int64(3))
+        assert type(cfg.master_seed) is int
+        table = ardw.size_power_study(cfg, workers=np.int64(2))
+        assert sizes == [2] and type(sizes[0]) is int
+        assert table.to_csv() == ardw.size_power_study(small_config(reps=100, master_seed=3)).to_csv()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_table(self, workers):
@@ -211,6 +232,21 @@ class TestCltDiagnostic:
         assert report["gamma_singular"]
         assert np.isnan(report["rel_frobenius_joint"])
 
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "expected non-negative integer"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ((1, 2), "seed must be an integer, got (1, 2)"),
+    ], ids=["negative", "bool", "float", "tuple"])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError) as info:
+            ardw.clt_diagnostic(params([0.5], 0.3), n=100, reps=10, seed=seed)
+        assert str(info.value) == message
+
+    def test_short_path_rejected_before_seed(self):
+        with pytest.raises(ValueError, match=r"need n >= p\+2 = 3"):
+            ardw.clt_diagnostic(params([0.5], 0.3), n=2, reps=10, seed=-1)
 
     def test_fewer_than_two_fits_raise(self):
         # every path is zero, so every fit fails
