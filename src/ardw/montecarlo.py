@@ -22,7 +22,7 @@ from .errors import ArdwError, RowErrors
 from .estimators import fit, lag_matrix
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, outcome_masks
-from .simulate import NoiseSpec, _check_length, _check_seed_int, _paths, simulate
+from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
 from .text import csv_text
 
 #: documented default parameter sets spanning orders 1..3 and
@@ -165,7 +165,7 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     ]
     totals = {cell: Counter() for cell in cells}
     if workers > 1:
-        import scipy.signal  # noqa: F401  imported once here, not in each forked worker
+        _linear_filter()  # loaded once here, not in each forked worker
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         results = (pool.map if pool else map)(_run_chunk, chunks)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,20 @@ from .text import csv_text, json_text
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
 
 
+def _check_real(name: str, value) -> float:
+    """value as a float; a bool, a string, None or an array raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Innovation family, always centered and scaled to variance sigma2.
 
     student_t requires df > 4: the asymptotic normality results need a
-    finite fourth moment.
+    finite fourth moment. sigma2 and df must be real numbers and are stored
+    as float.
     """
 
     family: str = "gaussian"
@@ -39,6 +48,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
+        for name in ("sigma2", "df"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 < self.sigma2 < np.inf):
             raise ValueError("sigma2 must be finite and > 0")
         if not np.isfinite(self.df):
@@ -283,21 +294,43 @@ def simulate(
     return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)
 
 
+@cache
+def _linear_filter():
+    """scipy's IIR filter kernel, _linear_filter(b, a, x, axis[, zi]), the C
+    function behind scipy.signal.lfilter. Only its extension module
+    scipy.signal._sigtools is loaded: importing scipy.signal would run its
+    __init__, about 750 modules and a second, for this one function. Loaded
+    on the first simulation, so import ardw does without scipy."""
+    import importlib.machinery
+    import importlib.util
+
+    name, spec = "scipy.signal._sigtools", None
+    signal = importlib.util.find_spec("scipy.signal")
+    if signal is not None and signal.submodule_search_locations:
+        spec = importlib.machinery.PathFinder.find_spec(name, signal.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"scipy's filter kernel {name} was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
 def _paths(params: ModelParams, n: int, noise: NoiseSpec | None, seeds: list,
            burn_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The x, eps and v blocks of simulate, one row per seed, from arguments
     that are already checked (seeds as _check_seed returns them)."""
-    # importing scipy.signal takes about a second; only simulating needs it
-    from scipy.signal import lfilter
-
+    linear_filter = _linear_filter()
     if noise is None:
         noise = NoiseSpec(sigma2=params.sigma2)
     rho = params.rho
     v = noise.draw(_generators(seeds), (len(seeds), burn_in + n + 1))
     eps = np.empty_like(v)
     eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
-    eps[:, 1:], _ = lfilter([1.0], [1.0, -rho], v[:, 1:], zi=rho * eps[:, :1])
+    # both filters get the arrays scipy.signal.lfilter passes to this kernel
+    # for a denominator of two or more taps, so every bit is lfilter's
+    one = np.array([1.0])
+    eps[:, 1:], _ = linear_filter(one, np.array([1.0, -rho]), v[:, 1:], -1, rho * eps[:, :1])
     v, eps = v[:, burn_in:], eps[:, burn_in:]
     # observation recursion with zero pre-sample values, run in C
-    x = lfilter([1.0], np.concatenate(([1.0], -params.theta)), eps)
+    x = linear_filter(one, np.concatenate(([1.0], -params.theta)), eps, -1)
     return x, eps, v

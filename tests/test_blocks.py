@@ -286,11 +286,41 @@ def test_draws_golden(family):
             ) == DRAW_GOLDENS[family]
 
 
-def test_import_leaves_scipy_signal_out():
-    # scipy.signal takes about a second to import and only simulating needs it
+# one fresh interpreter runs each step in turn and prints whether scipy.signal
+# is then in sys.modules
+SIMULATING_STEPS = """
+import sys, ardw
+prm = ardw.DEFAULT_SUITE[1]
+steps = {
+    "import ardw": lambda: None,
+    "simulate": lambda: ardw.simulate(prm, 50, seed=1),
+    "size_power_study": lambda: ardw.size_power_study(
+        ardw.StudyConfig(params_list=(prm,), n_list=(30,), reps=100), workers=2),
+    "clt_diagnostic": lambda: ardw.clt_diagnostic(prm, 50, 20, seed=1),
+    "rate_diagnostic": lambda: ardw.rate_diagnostic(prm, 500),
+}
+for name, step in steps.items():
+    step()
+    print(name, "scipy.signal" in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_signal_out(tmp_path):
+    # scipy.signal takes about a second to import; simulating loads only its
+    # filter kernel, so neither importing ardw nor simulating imports it
     env = dict(os.environ, PYTHONPATH=str(Path(ardw.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", SIMULATING_STEPS], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.splitlines() == [
+        "import ardw False", "simulate False", "size_power_study False",
+        "clt_diagnostic False", "rate_diagnostic False",
+    ]
+    # -X importtime names every module the command imports, on stderr
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, ardw; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-X", "importtime", "-m", "ardw.cli", "simulate", "--theta", "0.5",
+         "--rho", "0.3", "--n", "200", "--output", str(tmp_path / "x.csv")],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout == "False\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert (tmp_path / "x.csv").exists() and "numpy" in imported
+    assert "scipy.signal" not in imported

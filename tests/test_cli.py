@@ -248,6 +248,8 @@ class TestPowerCommand:
          ({"noise": {"scale": 2}}, "'scale'"),
          ({"noise": {"sigma2": float("inf")}}, "sigma2 must be finite"),
          ({"noise": {"family": "student_t", "df": float("inf")}}, "df must be finite"),
+         ({"noise": {"df": "6"}}, "df must be a real number, got '6'"),
+         ({"noise": {"sigma2": True}}, "sigma2 must be a real number, got True"),
          ({"rps": 5000}, "'rps'"),
          ({"params_list": [{"p": True, "theta": [0.5], "rho": 0.0}]},
           "p must be an integer"),
@@ -259,7 +261,7 @@ class TestPowerCommand:
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "master_seed_negative",
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
-             "noise_df_inf", "misspelt_key", "p_bool", "p_float", "p_string"],
+             "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key", "p_bool", "p_float", "p_string"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],

@@ -332,7 +332,7 @@ class TestRateDiagnostic:
         # per extra step: the path, its p lag columns and one array of slack,
         # nothing of size p^2
         prm = DEFAULT_SUITE[4]
-        ardw.rate_diagnostic(prm, 1000)  # imports scipy.signal before tracing
+        ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
         peaks = []
         for n in (100_000, 200_000):
             tracemalloc.start()

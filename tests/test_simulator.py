@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ardw
-from ardw.simulate import NoiseSpec, Trajectory, _generators, _seed_words, derive_rng
+from ardw.simulate import (
+    NoiseSpec, Trajectory, _generators, _linear_filter, _seed_words, derive_rng,
+)
 
 
 class ZeroNoise(NoiseSpec):
@@ -140,6 +143,23 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"sigma2": "2"}, {"sigma2": True}, {"sigma2": None}, {"sigma2": np.array([1.0])},
+         {"df": None}, {"df": "5"}, {"df": False}, {"df": np.array(6.0)}],
+        ids=["sigma2_str", "sigma2_bool", "sigma2_none", "sigma2_array",
+             "df_none", "df_str", "df_bool", "df_0d_array"],
+    )
+    def test_non_real_rejected(self, kw):
+        name, value = next(iter(kw.items()))
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            NoiseSpec(family="student_t", **kw)
+
+    def test_real_numbers_stored_as_float(self):
+        noise = NoiseSpec(family="student_t", sigma2=np.int64(2), df=np.float32(6.5))
+        assert (noise.sigma2, noise.df) == (2.0, 6.5)
+        assert type(noise.sigma2) is float and type(noise.df) is float
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             NoiseSpec(family="cauchy")
@@ -152,6 +172,31 @@ class TestNoiseSpec:
         v = NoiseSpec(family="uniform", sigma2=3.0).draw(derive_rng(0), 100_000)
         assert np.max(np.abs(v)) <= 3.0
         assert np.var(v) == pytest.approx(3.0, rel=0.02)
+
+
+class TestFilterKernel:
+    """simulate runs scipy's filter kernel without importing scipy.signal; both
+    of its filters must give scipy.signal.lfilter's bits, for one row (with
+    its own zi) and for a block (one zi per row)."""
+
+    @pytest.mark.parametrize("seed", [4, [4, (1, 2), 9]], ids=["one_row", "block"])
+    @pytest.mark.parametrize("rho", [-0.95, 0.3, 0.999])
+    @pytest.mark.parametrize("theta", [[0.9], [-0.5, 0.3], [0.2, -0.3, 0.4]])
+    def test_simulate_matches_lfilter(self, seed, rho, theta):
+        from scipy.signal import lfilter
+
+        prm = params(theta, rho)
+        traj = ardw.simulate(prm, 200, NoiseSpec("student_t", df=5.5), seed=seed)
+        eps, _ = lfilter([1.0], [1.0, -rho], traj.v[..., 1:], zi=rho * traj.eps[..., :1])
+        x = lfilter([1.0], np.concatenate(([1.0], -prm.theta)), traj.eps)
+        assert traj.eps[..., 1:].tobytes() == eps.tobytes()
+        assert traj.x.tobytes() == x.tobytes()
+
+    def test_missing_kernel_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None, target=None: None))
+        with pytest.raises(ImportError, match=r"scipy\.signal\._sigtools was not found"):
+            _linear_filter.__wrapped__()
 
 
 class TestSerialization:
