@@ -29,7 +29,7 @@ from .montecarlo import (
     size_power_study,
 )
 from .serial_tests import TEST_NAMES, outcomes_to_csv, run_tests
-from .simulate import NoiseSpec, simulate
+from .simulate import _FAMILIES, NoiseSpec, simulate
 from .text import json_text
 
 
@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--burn-in", type=int, default=0)
-    p_sim.add_argument("--noise", default="gaussian",
-                       choices=["gaussian", "uniform", "student_t", "rademacher"])
+    p_sim.add_argument("--noise", default="gaussian", choices=_FAMILIES)
     p_sim.add_argument("--df", type=float, default=5.0)
     p_sim.add_argument("--output", required=True)
 

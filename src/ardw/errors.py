@@ -66,7 +66,8 @@ class DomainError(ArdwError):
 
 class RowErrors:
     """The first error of each row of a block, or, made without a row count,
-    of one series, which raises it at once. Checks are added in the order in
+    of one series, which raises it at once; RowErrors(()) records the error
+    of one series instead, as row (). Checks are added in the order in
     which they run, each as a row mask with its error type and message (a
     str, or a function of the row index giving one)."""
 

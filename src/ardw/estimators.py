@@ -22,6 +22,7 @@ from .errors import (
     SingularToeplitz,
 )
 from .limit_theory import _check_integer, _symmetric_toeplitz
+from .text import record_dict
 
 _COND_LIMIT = 1e14
 
@@ -151,16 +152,7 @@ class FitResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "theta_hat": self.theta_hat.tolist(),
-            "rho_hat": self.rho_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "dw": self.dw,
-            "var_theta1_hat": self.var_theta1_hat,
-            "warnings": list(self.warnings),
-        }
+        return record_dict(self, drop=("residuals",))
 
 
 @np.errstate(all="ignore")

@@ -25,6 +25,7 @@ from .errors import (
     UnstableTheta,
     ZeroTheta,
 )
+from .text import record_dict
 
 #: condition number above which linear solves emit a warning
 ILL_CONDITION_THRESHOLD = 1e12
@@ -39,7 +40,8 @@ class ModelParams:
 
     The stability region is open: ||theta||_1 < 1 and |rho| < 1 strictly.
     Construction enforces it (check_stability), so every function taking a
-    ModelParams can rely on it.
+    ModelParams can rely on it. rho and sigma2 must be real numbers and are
+    stored as float.
     """
 
     p: int
@@ -51,8 +53,8 @@ class ModelParams:
         object.__setattr__(self, "p", _check_integer("p", self.p))
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        for name in ("rho", "sigma2"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if theta.ndim != 1 or theta.shape[0] != self.p or self.p < 1:
             raise ValueError(f"theta must be a vector of length p={self.p}")
         check_stability(self)
@@ -63,6 +65,13 @@ def _check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    """value as a float; a bool, a string, None or an array raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_stability(params: ModelParams) -> None:
@@ -232,23 +241,10 @@ class LimitSummary:
         return np.linalg.cond(self.B)
 
     def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {
-            "p": self.params.p,
-            "theta": self.params.theta.tolist(),
-            "rho": self.params.rho,
-            "alpha": self.alpha,
-            "beta": self.beta.tolist(),
-            "Lambda": self.Lambda.tolist(),
-            "theta_star": self.theta_star.tolist(),
-            "rho_star": self.rho_star,
-            "d_star": self.d_star,
-            "Sigma_theta": self.Sigma_theta.tolist(),
-            "Gamma": self.Gamma.tolist(),
-            "sigma2_rho": self.sigma2_rho,
-            "sigma2_D": self.sigma2_D,
-            "gamma_singular": self.gamma_singular,
-        }
+        """JSON-ready representation: p, theta and rho, then every field but
+        the intermediate matrices."""
+        return {**record_dict(self.params, drop=("sigma2",)),
+                **record_dict(self, drop=("params", "B", "Delta_p", "Delta_p1", "P", "C_A"))}
 
 
 def limit_summary(params: ModelParams) -> LimitSummary:

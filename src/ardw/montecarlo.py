@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ArdwError, RowErrors
 from .estimators import fit, lag_matrix
-from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
-from .serial_tests import TEST_NAMES, outcome_masks
+from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_real, limit_summary
+from .serial_tests import TEST_NAMES, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
 from .text import csv_text
 
@@ -59,11 +59,10 @@ class StudyConfig:
             raise ValueError("master_seed and burn_in must be >= 0")
         if self.reps < 100:
             raise ValueError("reps must be >= 100")
+        object.__setattr__(self, "level", _check_real("level", self.level))
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        for name in self.tests:
-            if name not in TEST_NAMES:
-                raise ValueError(f"unknown test {name!r}")
+        _check_names(self.tests)
         for prm in self.params_list:
             if any(n < prm.p + 2 for n in self.n_list):
                 raise ValueError(f"every n must be >= p+2 = {prm.p + 2}")

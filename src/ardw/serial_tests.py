@@ -14,18 +14,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (
-    SERIES,
-    DegenerateResiduals,
-    DomainError,
-    InapplicableH,
-    NearZeroThetaP,
-    RowErrors,
-    SingularAuxiliaryRegression,
+    SERIES, DomainError, InapplicableH, NearZeroThetaP, RowErrors, SingularAuxiliaryRegression,
 )
 from .estimators import (
     NEAR_ZERO_THETA_P, FitResult, _checked_solve, _dot, _residual_energy, lag_matrix,
 )
-from .text import csv_text
+from .limit_theory import _check_real
+from .text import csv_text, record_dict
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -77,14 +72,7 @@ class TestOutcome:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "level": self.level,
-            "reject": self.reject,
-            "warnings": list(self.warnings),
-        }
+        return record_dict(self)
 
 
 def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:
@@ -180,15 +168,28 @@ def outcome_masks(x: np.ndarray, fit: FitResult, fit_failed: np.ndarray, level: 
     return out
 
 
-def _check_level(level: float) -> None:
+def _check_names(names) -> None:
+    for name in names:
+        if name not in _TESTS:
+            raise ValueError(f"unknown test {name!r}")
+
+
+def _check_level(level) -> float:
+    level = _check_real("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    return level
 
 
 @np.errstate(all="ignore")
-def _one(name: str, level: float, x, fit: FitResult) -> TestOutcome:
-    """The outcome of the named test on one series; raises its error instead."""
-    stat, p_value, notes = _TESTS[name](x, fit, SERIES)
+def _one(name: str, level: float, x, fit: FitResult, errors: RowErrors = SERIES) -> TestOutcome:
+    """The outcome of the named test on one series. With SERIES its error
+    raises; with a one-series record, RowErrors(()), the test is reported
+    inapplicable with the error's type."""
+    stat, p_value, notes = _TESTS[name](x, fit, errors)
+    if errors.failed:
+        return _outcome(name, math.nan, math.nan, level,
+                        ("inapplicable", type(errors.error(())).__name__))
     return _outcome(name, stat, p_value, level, [note for note, on in notes if on])
 
 
@@ -197,11 +198,10 @@ def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
 
     The statistic is n (D - 2)^2 / (4 theta_hat_p^2), referred to the upper
     tail of the one-degree chi-square distribution. Requires the fitted
-    p-th coefficient to be away from zero. A level outside (0, 1) raises
-    ValueError.
+    p-th coefficient to be away from zero. A level that is not a real
+    number in (0, 1) raises ValueError.
     """
-    _check_level(level)
-    return _one("dw_chi2", level, None, fit)
+    return _one("dw_chi2", _check_level(level), None, fit)
 
 
 def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
@@ -209,10 +209,9 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
 
     Raises InapplicableH when the variance correction exceeds 1/n, the
     classical failure mode of the test on short series, or is undefined (NaN).
-    A level outside (0, 1) raises ValueError.
+    A level that is not a real number in (0, 1) raises ValueError.
     """
-    _check_level(level)
-    return _one("durbin_h", level, None, fit)
+    return _one("durbin_h", _check_level(level), None, fit)
 
 
 def run_tests(
@@ -221,25 +220,17 @@ def run_tests(
     level: float = 0.05,
     names: tuple[str, ...] = TEST_NAMES,
 ) -> list[TestOutcome]:
-    """Apply a batch of tests; inapplicable ones are reported as outcomes with
-    a warning rather than aborting the batch.
+    """Apply a batch of tests to one series. A test whose kernel records an
+    error, the error that makes a row of a block inapplicable in
+    outcome_masks, is reported as an outcome with the warnings
+    ("inapplicable", error type) rather than aborting the batch.
 
-    An unknown test name or a level outside (0, 1) raises ValueError before
-    any test runs.
+    An unknown test name, or a level that is not a real number in (0, 1),
+    raises ValueError before any test runs.
     """
-    for name in names:
-        if name not in _TESTS:
-            raise ValueError(f"unknown test {name!r}")
-    _check_level(level)
-    out = []
-    for name in names:
-        try:
-            out.append(_one(name, level, x, fit))
-        except (InapplicableH, NearZeroThetaP, DegenerateResiduals,
-                SingularAuxiliaryRegression) as exc:
-            out.append(_outcome(name, math.nan, math.nan, level,
-                                ("inapplicable", type(exc).__name__)))
-    return out
+    _check_names(names)
+    level = _check_level(level)
+    return [_one(name, level, x, fit, RowErrors(())) for name in names]
 
 
 def outcomes_to_csv(outcomes: list[TestOutcome]) -> str:

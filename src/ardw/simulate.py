@@ -19,17 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .limit_theory import ModelParams, _check_integer
-from .text import csv_text, json_text
+from .limit_theory import ModelParams, _check_integer, _check_real
+from .text import csv_text, json_text, record_dict
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
-
-
-def _check_real(name: str, value) -> float:
-    """value as a float; a bool, a string, None or an array raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -108,14 +101,7 @@ class Trajectory:
             raise ValueError(f"to_csv writes one series; this block holds {len(self.x)} rows")
         path = Path(path)
         path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
-        sidecar = {
-            "p": self.params.p,
-            "theta": self.params.theta.tolist(),
-            "rho": self.params.rho,
-            "sigma2": self.params.sigma2,
-            "seed": self.seed,
-            "burn_in": self.burn_in,
-        }
+        sidecar = {**record_dict(self.params), "seed": self.seed, "burn_in": self.burn_in}
         path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar))
 
     @classmethod

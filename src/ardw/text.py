@@ -4,6 +4,9 @@ infinities as null. Every text ends with a newline."""
 
 import json
 import math
+from dataclasses import fields
+
+import numpy as np
 
 
 def csv_text(header, rows) -> str:
@@ -12,6 +15,18 @@ def csv_text(header, rows) -> str:
         ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in (header, *rows)
     )
+
+
+def _listed(value):
+    return value.tolist() if isinstance(value, np.ndarray) else (
+        list(value) if isinstance(value, tuple) else value)
+
+
+def record_dict(record, drop=()) -> dict:
+    """A dataclass's fields in field order, less those named in drop, with
+    arrays and tuples as lists."""
+    return {f.name: _listed(getattr(record, f.name)) for f in fields(record)
+            if f.name not in drop}
 
 
 def _finite_or_none(obj):

@@ -256,12 +256,16 @@ class TestPowerCommand:
          ({"params_list": [{"p": 1.5, "theta": [0.5], "rho": 0.0}]},
           "p must be an integer"),
          ({"params_list": [{"p": "1", "theta": [0.5], "rho": 0.0}]},
-          "p must be an integer")],
+          "p must be an integer"),
+         ({"params_list": [{"p": 1, "theta": [0.5], "rho": "0.3"}]},
+          "rho must be a real number, got '0.3'"),
+         ({"level": "0.05"}, "level must be a real number, got '0.05'")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "master_seed_negative",
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
-             "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key", "p_bool", "p_float", "p_string"],
+             "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key",
+             "p_bool", "p_float", "p_string", "rho_string", "level_string"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],

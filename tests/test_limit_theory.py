@@ -79,6 +79,20 @@ class TestStability:
         prm = ardw.ModelParams(p=np.int64(2), theta=[0.4, -0.3], rho=0.2)
         assert prm.p == 2 and type(prm.p) is int
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho", None), ("rho", "0.3"), ("rho", True), ("rho", np.array([0.3])),
+        ("sigma2", None), ("sigma2", "2"), ("sigma2", True),
+    ])
+    def test_non_real_rho_or_sigma2_rejected(self, field, value):
+        kw = {"rho": 0.3, "sigma2": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got"):
+            ardw.ModelParams(p=1, theta=[0.5], **kw)
+
+    def test_rho_and_sigma2_stored_as_float(self):
+        prm = ardw.ModelParams(p=1, theta=[0.5], rho=np.float32(0.25), sigma2=np.int64(2))
+        assert (prm.rho, prm.sigma2) == (0.25, 2.0)
+        assert type(prm.rho) is float and type(prm.sigma2) is float
+
 
 class TestBetaAlpha:
     def test_beta_p1(self):

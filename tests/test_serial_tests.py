@@ -5,6 +5,7 @@ import scipy.stats
 import ardw
 from ardw.errors import DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP
 from ardw.estimators import FitResult, lag_matrix
+from ardw.montecarlo import StudyConfig
 from ardw.serial_tests import (
     TEST_NAMES,
     chi2_quantile,
@@ -13,6 +14,7 @@ from ardw.serial_tests import (
     dw_chi2_test,
     normal_quantile,
     normal_sf,
+    outcome_masks,
     run_tests,
 )
 
@@ -237,6 +239,52 @@ class TestRunTests:
                      lambda: durbin_h_test(f, level)):
             with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
                 call()
+
+    @pytest.mark.parametrize("level", ["0.05", None, True, np.array([0.05])])
+    def test_non_real_level(self, level):
+        f = make_fit(var_theta1=0.0)
+        for call in (lambda: run_tests(np.ones(101), f, level=level),
+                     lambda: dw_chi2_test(f, level),
+                     lambda: durbin_h_test(f, level),
+                     lambda: StudyConfig(params_list=(), n_list=(100,), level=level)):
+            with pytest.raises(ValueError, match="level must be a real number, got"):
+                call()
+
+    def test_level_stored_as_float(self):
+        f = make_fit(var_theta1=0.0)
+        outcomes = [*run_tests(np.ones(101), f, level=np.float32(0.25), names=("dw_chi2",)),
+                    dw_chi2_test(f, np.float32(0.25))]
+        assert all(type(o.level) is float and o.level == 0.25 for o in outcomes)
+        config = StudyConfig(params_list=(), n_list=(100,), level=np.float32(0.25))
+        assert type(config.level) is float and config.level == 0.25
+
+    def test_unknown_name_same_message_as_study_config(self):
+        with pytest.raises(ValueError) as one:
+            run_tests(np.ones(101), make_fit(), names=("nope",))
+        with pytest.raises(ValueError) as study:
+            StudyConfig(params_list=(), n_list=(100,), tests=("nope",))
+        assert str(one.value) == str(study.value) == "unknown test 'nope'"
+
+    def test_any_recorded_error_is_inapplicable_for_one_series_and_a_block(self, monkeypatch):
+        # a kernel error outside the tests' usual ones is inapplicable in
+        # both paths: run_tests and outcome_masks read the same record
+        def kernel(x, fit, errors):
+            flagged = np.asarray(fit.rho_hat) > 0.0
+            errors.add(flagged, DomainError, "recorded by the kernel")
+            return np.zeros_like(fit.dw), np.zeros_like(fit.dw), []
+
+        monkeypatch.setitem(ardw.serial_tests._TESTS, "dw_chi2", kernel)
+        (out,) = run_tests(np.ones(101), make_fit(rho_hat=0.1), names=("dw_chi2",))
+        assert out.warnings == ("inapplicable", "DomainError")
+        assert np.isnan(out.statistic) and not out.reject
+        x = np.ones((2, 101))
+        fits = make_fit(rho_hat=np.array([0.1, -0.1]), dw=np.array([2.0, 2.0]))
+        reject, inapplicable = outcome_masks(x, fits, np.zeros(2, dtype=bool), 0.05,
+                                             ("dw_chi2",))["dw_chi2"]
+        assert inapplicable.tolist() == [True, False]
+        assert reject.tolist() == [False, True]
+        with pytest.raises(DomainError, match="recorded by the kernel"):
+            dw_chi2_test(make_fit(rho_hat=0.1))
 
     def test_monotone_in_level(self):
         traj = ardw.simulate(params([0.5], 0.2), 800, seed=2)
