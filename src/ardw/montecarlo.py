@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ArdwError, RowErrors
 from .estimators import fit, lag_matrix
-from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_real, limit_summary
-from .serial_tests import TEST_NAMES, _check_names, outcome_masks
+from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
+from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
 from .text import csv_text
 
@@ -59,9 +59,7 @@ class StudyConfig:
             raise ValueError("master_seed and burn_in must be >= 0")
         if self.reps < 100:
             raise ValueError("reps must be >= 100")
-        object.__setattr__(self, "level", _check_real("level", self.level))
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
+        object.__setattr__(self, "level", _check_level(self.level))
         _check_names(self.tests)
         for prm in self.params_list:
             if any(n < prm.p + 2 for n in self.n_list):
@@ -264,7 +262,15 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
         num = _running_sum(Lb * x[a + 1:a + 1 + len(Lb), None], num)
         s = max(0, start - 1 - a)
         if s < len(Lb):
-            yield a + 1 + s, np.linalg.solve(gram[s:], num[s:, :, None])[..., 0]
+            g = gram[s:]
+            if p == 1 and g.all():
+                # LAPACK's gesv solves a 1x1 system by this one division, and
+                # warns of nothing; a zero pivot goes to solve, which raises
+                with np.errstate(all="ignore"):
+                    theta = num[s:] / g[:, 0]
+            else:
+                theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
+            yield a + 1 + s, theta
 
 
 def rate_diagnostic(
@@ -290,19 +296,30 @@ def rate_diagnostic(
     grid = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
     checkpoints = [cp for cp in grid.tolist() if cp > start]
     x = simulate(params, n_max, noise=noise, seed=seed).x
-    # the error and the running sum of its outer products, kept at the checkpoints
-    kept, cum_outer = {}, None
-    for k0, theta in _theta_hat_blocks(x, params.p, start):
-        err = theta - limits.theta_star
-        cum_outer = _running_sum(err[:, :, None] * err[:, None, :], cum_outer)
+    p = params.p
+    upper = np.triu_indices(p)
+    # the error and the running sum of its outer products, kept at the
+    # checkpoints. The sum covers the upper triangle (i <= j) in row order;
+    # errors and products are held one row per component, so that each
+    # multiplication runs along the stages of the block.
+    kept, cum_upper = {}, None
+    for k0, theta in _theta_hat_blocks(x, p, start):
+        err = np.subtract(theta.T, limits.theta_star[:, None], order="C")
+        terms = np.empty((len(upper[0]), len(theta)))
+        for i in range(p):
+            at = i * p - i * (i - 1) // 2
+            np.multiply(err[i], err[i:], out=terms[at:at + p - i])
+        cum_upper = _running_sum(terms.T, cum_upper)
         for cp in checkpoints:
-            if k0 <= cp < k0 + len(err):
-                kept[cp] = err[cp - k0].copy(), cum_outer[cp - k0].copy()
+            if k0 <= cp < k0 + len(theta):
+                kept[cp] = err[:, cp - k0].copy(), cum_upper[cp - k0].copy()
 
     rows = []
     tr_sigma = float(np.trace(limits.Sigma_theta))
     for cp in checkpoints:
-        err, cum = kept[cp]
+        err, upper_sum = kept[cp]
+        cum = np.empty((p, p))
+        cum[upper] = cum.T[upper] = upper_sum
         qsl = cum / np.log(cp)
         lil = cp * float(err @ err) / (2.0 * np.log(np.log(cp)))
         rows.append(

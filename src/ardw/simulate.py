@@ -82,9 +82,10 @@ class Trajectory:
 
     x and eps have length n+1 (indices 0..n); v holds the innovations
     V_0..V_n where V_0 only feeds the initial noise value. For a list of
-    seeds they hold one row per seed. A tuple seed (as
-    in studies) is stored as a list in the JSON sidecar and read back as a
-    tuple.
+    seeds they hold one row per seed. noise is the spec the innovations were
+    drawn with; None stands for simulate's default, gaussian with the
+    model's sigma2. A tuple seed (as in studies) is stored as a list in the
+    JSON sidecar and read back as a tuple.
     """
 
     x: np.ndarray
@@ -93,26 +94,36 @@ class Trajectory:
     params: ModelParams
     seed: int | tuple[int, ...]
     burn_in: int = 0
+    noise: NoiseSpec | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "noise", _noise(self.params, self.noise))
 
     def to_csv(self, path: str | Path) -> None:
-        """Series to CSV plus a JSON sidecar with parameters and seed. A block
-        (from a list of seeds) raises ValueError: a CSV holds one series."""
+        """Series to CSV plus a JSON sidecar with the parameters, noise and
+        seed that simulate it again. A block (from a list of seeds) raises
+        ValueError: a CSV holds one series."""
         if self.x.ndim != 1:
             raise ValueError(f"to_csv writes one series; this block holds {len(self.x)} rows")
         path = Path(path)
         path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
-        sidecar = {**record_dict(self.params), "seed": self.seed, "burn_in": self.burn_in}
+        sidecar = {**record_dict(self.params), "noise": record_dict(self.noise),
+                   "seed": self.seed, "burn_in": self.burn_in}
         path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Trajectory":
+        """The series and sidecar that to_csv writes. A sidecar without a
+        noise key (written before it had one) reads as simulate's default
+        noise for its parameters."""
         path = Path(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        seed, burn_in = meta.pop("seed"), meta.pop("burn_in")
+        seed, burn_in, noise = meta.pop("seed"), meta.pop("burn_in"), meta.pop("noise", None)
         return cls(
             x=data[:, 0], eps=data[:, 1], v=data[:, 2], params=ModelParams(**meta),
             seed=tuple(seed) if isinstance(seed, list) else seed, burn_in=burn_in,
+            noise=None if noise is None else NoiseSpec(**noise),
         )
 
 
@@ -244,6 +255,11 @@ def derive_rng(master_seed: int, *context: int) -> np.random.Generator:
     return _generators([_check_seed((master_seed, *context))])[0]
 
 
+def _noise(params: ModelParams, noise: NoiseSpec | None) -> NoiseSpec:
+    """noise, or for None simulate's default: gaussian with the model's sigma2."""
+    return NoiseSpec(sigma2=params.sigma2) if noise is None else noise
+
+
 def _check_length(params: ModelParams, n: int) -> None:
     if n < params.p + 2:
         raise ValueError(f"need n >= p+2 = {params.p + 2}")
@@ -277,7 +293,8 @@ def simulate(
         seed = seeds
     else:
         x, eps, v, seed = x[0], eps[0], v[0], seeds[0]
-    return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in)
+    return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in,
+                      noise=noise)
 
 
 @cache
@@ -306,10 +323,8 @@ def _paths(params: ModelParams, n: int, noise: NoiseSpec | None, seeds: list,
     """The x, eps and v blocks of simulate, one row per seed, from arguments
     that are already checked (seeds as _check_seed returns them)."""
     linear_filter = _linear_filter()
-    if noise is None:
-        noise = NoiseSpec(sigma2=params.sigma2)
     rho = params.rho
-    v = noise.draw(_generators(seeds), (len(seeds), burn_in + n + 1))
+    v = _noise(params, noise).draw(_generators(seeds), (len(seeds), burn_in + n + 1))
     eps = np.empty_like(v)
     eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
     # both filters get the arrays scipy.signal.lfilter passes to this kernel

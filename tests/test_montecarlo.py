@@ -26,6 +26,14 @@ def params(theta, rho, sigma2=1.0):
     return ardw.ModelParams(p=len(theta), theta=theta, rho=rho, sigma2=sigma2)
 
 
+@dataclass(frozen=True)
+class ZeroNoise(NoiseSpec):
+    """Draws only zeros, so every path is zero."""
+
+    def draw(self, rng, size):
+        return np.zeros(size)
+
+
 def small_config(**kw):
     base = dict(
         params_list=(params([0.5], 0.0), params([0.5], 0.5)),
@@ -250,11 +258,6 @@ class TestCltDiagnostic:
 
     def test_fewer_than_two_fits_raise(self):
         # every path is zero, so every fit fails
-        @dataclass(frozen=True)
-        class ZeroNoise(NoiseSpec):
-            def draw(self, rng, size):
-                return np.zeros(size)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArdwError, match=r"kept 0 of 20 fits, need 2; "
@@ -309,6 +312,47 @@ class TestRateDiagnostic:
             "c8bfc70cbed8b49e45693d4fd1598fa62bf9c76f9e298e13b04a58c9a2e62488",
             "62e2745891685a7b7e076a39778a6d0233f68e7435f53e1adc3390eea6cdd36e",
         ]
+
+    def test_report_golden_student_t_and_p4(self):
+        # p = 1 under heavy-tailed noise, whose stages are divisions, and a
+        # p = 4 set, whose QSL sum covers a 10-entry triangle
+        cases = [
+            (DEFAULT_SUITE[1], 100_000, 11, NoiseSpec(family="student_t", sigma2=2.0, df=5.0)),
+            (ardw.ModelParams(p=4, theta=[0.3, -0.2, 0.1, 0.15], rho=-0.3), 30_000, 4, None),
+        ]
+        digests = [
+            hashlib.sha256(json_text(ardw.rate_diagnostic(prm, n, seed=seed, noise=noise))
+                           .encode()).hexdigest()
+            for prm, n, seed, noise in cases
+        ]
+        assert digests == [
+            "bacd6914314f00efb48efe36cce9ea0f5288477b41891d34eb974dbb09312a6b",
+            "83df0ddc1c6a6d07b6a159b4101c796a7cff705aa1c4015d7a3aa2da698308dc",
+        ]
+
+    @given(st.integers(0, 2**32), st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
+           st.integers(51, 3000), st.integers(1, 2**16),
+           st.sampled_from([1e-160, 1.0, 1e140, 1e154]))
+    @example(1, 0.5, 2000, 1, 1e-160)  # one stage a block, subnormal squares
+    @example(2, 0.5, 3000, 2**16, 1e154)  # the sums overflow to inf
+    def test_one_by_one_stages_match_solve(self, seed, theta, n, cap, scale):
+        # a 1x1 stage system is one division, bit for bit what LAPACK's
+        # gesv gives, whatever the block cap and the scale of the series
+        x = ardw.simulate(params([theta], 0.3), n, seed=seed).x * scale
+        lags = x[:-1]
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            gram, num = np.cumsum(lags * lags)[49:], np.cumsum(lags * x[1:])[49:]
+            want = np.linalg.solve(gram[:, None, None], num[:, None, None])[..., 0]
+            mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", cap)
+            got = np.concatenate([t for _, t in _theta_hat_blocks(x, 1, start=50)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3]], ids=["p1", "p2"])
+    def test_zero_path_raises_singular(self, theta):
+        # every stage system of a zero path is singular; a 1x1 block of them
+        # goes to np.linalg.solve, which raises as it does for p x p
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            ardw.rate_diagnostic(params(theta, 0.3), 500, noise=ZeroNoise())
 
     @settings(max_examples=20)
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(51, 5000),

@@ -1,4 +1,5 @@
 import importlib.machinery
+import json
 import os
 import subprocess
 import sys
@@ -223,6 +224,50 @@ class TestSerialization:
         traj.to_csv(path)
         back = Trajectory.from_csv(path)
         assert back.seed == traj.seed == (7, 0, 50, 3)
+
+    @given(st.sampled_from(["gaussian", "uniform", "student_t", "rademacher"]),
+           st.floats(0.1, 10.0), st.floats(4.1, 30.0), st.floats(0.1, 10.0),
+           st.integers(0, 30),
+           st.integers(0, 2**70) | st.tuples(st.integers(0, 2**40), st.integers(0, 99)))
+    @example("student_t", 1.0, 5.0, 4.0, 0, 1)  # the family the old sidecar lost
+    def test_sidecar_simulates_the_path_again(self, tmp_path_factory, family, sigma2,
+                                              df, model_sigma2, burn_in, seed):
+        # the sidecar holds everything simulate draws with, so the path it
+        # describes comes back bit for bit
+        prm = params([0.4, -0.3], 0.2, sigma2=model_sigma2)
+        noise = NoiseSpec(family, sigma2=sigma2, df=df)
+        traj = ardw.simulate(prm, 40, noise=noise, seed=seed, burn_in=burn_in)
+        path = tmp_path_factory.mktemp("sidecar") / "traj.csv"
+        traj.to_csv(path)
+        back = Trajectory.from_csv(path)
+        assert back.noise == noise
+        again = ardw.simulate(back.params, len(back.x) - 1, noise=back.noise,
+                              seed=back.seed, burn_in=back.burn_in)
+        for name in ("x", "eps", "v"):
+            assert getattr(again, name).tobytes() == getattr(traj, name).tobytes()
+
+    def test_sidecar_records_default_noise(self, tmp_path):
+        traj = ardw.simulate(params([0.5], 0.3, sigma2=2.5), 20, seed=4)
+        assert traj.noise == NoiseSpec(sigma2=2.5)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        sidecar = json.loads(path.with_suffix(".csv.json").read_text())
+        assert sidecar["noise"] == {"family": "gaussian", "sigma2": 2.5, "df": 5.0}
+        assert list(sidecar) == ["p", "theta", "rho", "sigma2", "noise", "seed", "burn_in"]
+
+    def test_sidecar_without_noise_reads_as_default(self, tmp_path):
+        # a sidecar written before it recorded the noise
+        traj = ardw.simulate(params([0.5], 0.3, sigma2=2.5), 20, seed=4)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        sidecar_path = path.with_suffix(".csv.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar["noise"]
+        sidecar_path.write_text(json.dumps(sidecar))
+        back = Trajectory.from_csv(path)
+        assert back.noise == NoiseSpec(sigma2=2.5)
+        again = ardw.simulate(back.params, 20, noise=back.noise, seed=4)
+        assert again.x.tobytes() == traj.x.tobytes()
 
     @pytest.mark.parametrize("seeds", [[1, 2], [5]])
     def test_block_to_csv_raises(self, tmp_path, seeds):
