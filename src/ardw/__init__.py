@@ -2,6 +2,8 @@
 driven by AR(1) noise: closed-form limits, least squares estimation,
 serial-correlation tests and Monte-Carlo studies."""
 
+import types
+
 from .errors import ArdwError
 from .estimators import (
     FitResult,
@@ -49,43 +51,6 @@ from .simulate import NoiseSpec, Trajectory, simulate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArdwError",
-    "DEFAULT_SUITE",
-    "FitResult",
-    "LimitSummary",
-    "ModelParams",
-    "NoiseSpec",
-    "PowerTable",
-    "StudyConfig",
-    "TestOutcome",
-    "Trajectory",
-    "alpha_scalar",
-    "beta_vector",
-    "build_B",
-    "check_stability",
-    "chi2_quantile",
-    "chi2_sf",
-    "clt_diagnostic",
-    "companion_matrix",
-    "durbin_h_test",
-    "dw_chi2_test",
-    "dw_statistic",
-    "fit",
-    "limit_summary",
-    "lyapunov_lambda_oracle",
-    "normal_quantile",
-    "normal_sf",
-    "ols_rho",
-    "ols_theta",
-    "outcomes_to_csv",
-    "rate_diagnostic",
-    "read_series",
-    "residuals",
-    "run_tests",
-    "simulate",
-    "size_power_study",
-    "solve_lambda",
-    "toeplitz_delta",
-    "yule_walker_fit",
-]
+# every public name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

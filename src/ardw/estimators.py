@@ -109,7 +109,7 @@ def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
     eps = np.empty_like(x)
     eps[..., 0] = x[..., 0]
     L = lag_matrix(x, theta_hat.shape[-1])
-    eps[..., 1:] = x[..., 1:] - (L @ theta_hat[..., None])[..., 0]
+    np.subtract(x[..., 1:], (L @ theta_hat[..., None])[..., 0], out=eps[..., 1:])
     return eps
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArdwError, RowErrors
-from .estimators import fit, lag_matrix
+from .estimators import fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
@@ -247,28 +247,43 @@ def _running_sum(terms: np.ndarray, last: np.ndarray | None) -> np.ndarray:
     return np.cumsum(terms, axis=0, out=terms)
 
 
+def _upper_products(cols, out: np.ndarray) -> np.ndarray:
+    """Row k of out = cols[i] * cols[j] for the k-th pair i <= j in row order,
+    the order of np.triu_indices: one multiplication along each pair's rows."""
+    for row, i, j in zip(out, *np.triu_indices(len(cols))):
+        np.multiply(cols[i], cols[j], out=row)
+    return out
+
+
 def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
     """Estimates at every stage k >= start along one path, in blocks of at
     most BLOCK_ELEMENTS // p**2 stages: yields (k0, theta) with row i of
     theta the estimate at stage k0 + i. The Gram and numerator sums run over
-    j <= k-1 and are carried from block to block, so memory is O(n p), not
-    O(n p^2)."""
-    L = lag_matrix(x, p)
+    j <= k-1 and are carried from block to block, so memory is O(n), not
+    O(n p^2). The Gram sums cover the upper triangle, one row per entry."""
+    n = len(x) - 1
+    xp = np.concatenate([np.zeros(p), x])  # lag column i of row j, X_{j-i}, is xp[j - i + p]
     rows = max(1, BLOCK_ELEMENTS // p**2)
+    upper = np.triu_indices(p)
     gram = num = None
-    for a in range(0, len(L), rows):
-        Lb = L[a:a + rows]
-        gram = _running_sum(Lb[:, :, None] * Lb[:, None, :], gram)
-        num = _running_sum(Lb * x[a + 1:a + 1 + len(Lb), None], num)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        lags = [xp[a - i + p:b - i + p] for i in range(p)]
+        gram = _running_sum(_upper_products(lags, np.empty((len(upper[0]), b - a))).T, gram)
+        terms = np.empty((p, b - a))
+        for lag, row in zip(lags, terms):
+            np.multiply(lag, x[a + 1:b + 1], out=row)
+        num = _running_sum(terms.T, num)
         s = max(0, start - 1 - a)
-        if s < len(Lb):
-            g = gram[s:]
-            if p == 1 and g.all():
+        if s < b - a:
+            if p == 1 and gram[s:].all():
                 # LAPACK's gesv solves a 1x1 system by this one division, and
                 # warns of nothing; a zero pivot goes to solve, which raises
                 with np.errstate(all="ignore"):
-                    theta = num[s:] / g[:, 0]
+                    theta = num[s:] / gram[s:]
             else:
+                g = np.empty((b - a - s, p, p))
+                g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = gram[s:]
                 theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
             yield a + 1 + s, theta
 
@@ -305,10 +320,7 @@ def rate_diagnostic(
     kept, cum_upper = {}, None
     for k0, theta in _theta_hat_blocks(x, p, start):
         err = np.subtract(theta.T, limits.theta_star[:, None], order="C")
-        terms = np.empty((len(upper[0]), len(theta)))
-        for i in range(p):
-            at = i * p - i * (i - 1) // 2
-            np.multiply(err[i], err[i:], out=terms[at:at + p - i])
+        terms = _upper_products(err, np.empty((len(upper[0]), len(theta))))
         cum_upper = _running_sum(terms.T, cum_upper)
         for cp in checkpoints:
             if k0 <= cp < k0 + len(theta):

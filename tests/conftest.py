@@ -4,6 +4,8 @@ from hypothesis import settings
 
 from ardw import ModelParams
 
+pytest_plugins = ["pytester"]
+
 # property tests are deterministic and bounded, so tier-1 stays reproducible
 # and fast: a fixed example sequence, no example database, no deadline
 settings.register_profile(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -192,6 +194,32 @@ class TestResiduals:
         eps = ardw.residuals(traj.x, theta_hat)
         L = lag_matrix(traj.x, 2)
         np.testing.assert_allclose(traj.x[1:], L @ theta_hat + eps[1:], atol=1e-12)
+
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(0, 4), st.integers(6, 200))
+    def test_matches_lag_matrix_product(self, seed, p, rows, n):
+        # bit for bit x[1:] - L @ theta, for one series (rows = 0) and a block
+        rng = np.random.default_rng(seed)
+        shape = (rows, n + 1) if rows else (n + 1,)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
+        theta = rng.uniform(-1.0, 1.0, (*shape[:-1], p))
+        eps = ardw.residuals(x, theta)
+        want = x[..., 1:] - (lag_matrix(x, p) @ theta[..., None])[..., 0]
+        assert eps[..., 0].tobytes() == x[..., 0].tobytes()
+        assert eps[..., 1:].tobytes() == want.tobytes()
+
+    def test_peak_is_the_lags_and_their_product(self):
+        # in path lengths of 8(n+1) bytes, at p = 3: eps, the three lag
+        # columns and L @ theta read 5.00; a temporary difference read 6.00
+        n = 200_000
+        x = ardw.simulate(params([0.3, -0.2, 0.25], 0.2), n, seed=1).x
+        theta = np.array([0.3, -0.2, 0.25])
+        tracemalloc.start()
+        try:
+            ardw.residuals(x, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2 * 8 * (n + 1)
 
 
 class TestOlsRho:

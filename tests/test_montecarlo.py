@@ -14,7 +14,8 @@ import ardw
 import ardw.montecarlo
 from ardw.cli import run
 from ardw.errors import ArdwError
-from ardw.montecarlo import DEFAULT_SUITE, _theta_hat_blocks
+from ardw.estimators import lag_matrix
+from ardw.montecarlo import DEFAULT_SUITE, _running_sum, _theta_hat_blocks
 from ardw.simulate import NoiseSpec
 from ardw.text import json_text
 
@@ -32,6 +33,26 @@ class ZeroNoise(NoiseSpec):
 
     def draw(self, rng, size):
         return np.zeros(size)
+
+
+def lag_matrix_theta_hat_blocks(x, p, start):
+    """_theta_hat_blocks written with a lag matrix and broadcast (rows, p, p)
+    Gram products: the reference for the bits of every stage."""
+    L = lag_matrix(x, p)
+    rows = max(1, ardw.montecarlo.BLOCK_ELEMENTS // p**2)
+    gram = num = None
+    for a in range(0, len(L), rows):
+        Lb = L[a:a + rows]
+        gram = _running_sum(Lb[:, :, None] * Lb[:, None, :], gram)
+        num = _running_sum(Lb * x[a + 1:a + 1 + len(Lb), None], num)
+        s = max(0, start - 1 - a)
+        if s < len(Lb):
+            g = gram[s:]
+            if p == 1 and g.all():
+                theta = num[s:] / g[:, 0]
+            else:
+                theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
+            yield a + 1 + s, theta
 
 
 def small_config(**kw):
@@ -347,6 +368,34 @@ class TestRateDiagnostic:
             got = np.concatenate([t for _, t in _theta_hat_blocks(x, 1, start=50)])
         assert got.tobytes() == want.tobytes()
 
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(51, 1500),
+           st.integers(1, 2**16), st.sampled_from([1e-160, 1.0, 1e140, 1e154]),
+           st.integers(0, 60), st.booleans())
+    @example(3, 3, 1500, 1, 1e-160, 0, False)  # one stage a block, subnormal products
+    @example(4, 4, 1500, 2**16, 1e154, 0, True)  # the sums overflow to inf
+    @example(5, 2, 800, 37, 1.0, 20, True)  # a -0.0 X_0 before a run of zeros
+    @example(6, 1, 800, 2**16, 1.0, 60, False)  # a singular first stage raises
+    def test_gram_sums_match_lag_matrix_reference(self, seed, p, n, cap, scale, lead,
+                                                  negative):
+        # the Gram sums from shifted slices of the path, one row per
+        # upper-triangle entry, give every stage the bits of the lag matrix
+        # and its broadcast products, whatever the block cap
+        x = ardw.simulate(random_stable_params(np.random.default_rng(seed), p), n,
+                          seed=seed).x * scale
+        x[:lead] = 0.0
+        if negative:
+            x[0] = -abs(x[0])  # -0.0 where the run of zeros covers X_0
+
+        def stages(blocks):
+            try:
+                return [(k0, t.shape, t.tobytes()) for k0, t in blocks(x, p, 50)]
+            except np.linalg.LinAlgError as exc:
+                return repr(exc)
+
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", cap)
+            assert stages(_theta_hat_blocks) == stages(lag_matrix_theta_hat_blocks)
+
     @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3]], ids=["p1", "p2"])
     def test_zero_path_raises_singular(self, theta):
         # every stage system of a zero path is singular; a 1x1 block of them
@@ -386,6 +435,20 @@ class TestRateDiagnostic:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 8 * (prm.p + 4) * 100_000
+
+    def test_peak_is_the_simulated_path(self):
+        # in path lengths of 8(n+1) bytes, at p = 3: simulate's x, eps and v,
+        # plus one block's arrays, read 3.43. A lag matrix and (rows, p, p)
+        # Gram products read 5.36.
+        prm, n = DEFAULT_SUITE[4], 200_000
+        ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
+        tracemalloc.start()
+        try:
+            ardw.rate_diagnostic(prm, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 8 * (n + 1)
 
     def test_qsl_and_lil_behave(self):
         # single-path fluctuations of the log-averaged outer product are

@@ -281,3 +281,25 @@ def test_cli_exit_codes_and_payloads(workdir, call):
             continue
         for doc in text.splitlines() if argv[0] == "test" else [text]:
             strict_json(doc)
+
+
+def test_failing_property_is_reported_as_a_failure(pytestconfig, pytester):
+    # hypothesis imports libcst to report a failing property, and libcst
+    # warns DeprecationWarning: under the project's filterwarnings the inner
+    # session reports the failure and runs the next test
+    lines = "\n    ".join(pytestconfig.getini("filterwarnings"))
+    pytester.makeini(f"[pytest]\nfilterwarnings =\n    {lines}\n")
+    pytester.makepyfile("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
