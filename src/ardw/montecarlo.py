@@ -14,6 +14,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +104,10 @@ class PowerTable:
 #: most elements (rows x n) of a block of replications. The largest array
 #: of a block, the rows x n x (p+1) Breusch-Godfrey tensor, stays at a few
 #: MB; a path longer than this is a block by itself. The rate diagnostic
-#: runs its stages in blocks of BLOCK_ELEMENTS // p**2, one (p, p) Gram
-#: matrix per stage.
+#: sums its stages in blocks of BLOCK_ELEMENTS // p**2 and solves their
+#: (p, p) Gram systems in parts of BLOCK_ELEMENTS // (2p (p+1)): by
+#: _lu_solve, whose bits follow the installed OpenBLAS, for p <= 5, and by
+#: np.linalg.solve from p = 6 and for the parts _lu_solve declines.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -250,9 +253,63 @@ def _running_sum(terms: np.ndarray, last: np.ndarray | None) -> np.ndarray:
 def _upper_products(cols, out: np.ndarray) -> np.ndarray:
     """Row k of out = cols[i] * cols[j] for the k-th pair i <= j in row order,
     the order of np.triu_indices: one multiplication along each pair's rows."""
-    for row, i, j in zip(out, *np.triu_indices(len(cols))):
+    for row, (i, j) in zip(out, combinations_with_replacement(range(len(cols)), 2)):
         np.multiply(cols[i], cols[j], out=row)
     return out
+
+
+def _dot(a, b, out):
+    """out = a . b along the last axis, each summed as OpenBLAS's ddot sums:
+    from +0, one fused multiply-add per term, by one ddot call per stage."""
+    if a.shape[-1] == 1:  # the product, +0 for -0
+        return np.add(np.multiply(a[..., 0], b[..., 0], out=out), 0.0, out=out)
+    if a.shape[-1] >= 4:  # a strided ddot of 4 or more terms sums in two halves
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    np.matmul(a[..., None, :], b[..., :, None], out=out[..., None, None])
+    return out
+
+
+@np.errstate(all="ignore")  # LAPACK warns of nothing
+def _lu_solve(work, gram, num, out) -> bool:
+    """Solve A x = num into out (A mirrored from its upper triangle gram) as
+    OpenBLAS's dgesv does for p <= 5, each step over all the stages: getf2's
+    left-looking LU (pivot: the first largest |c_i|, by its reciprocal), then
+    getrs' substitutions, fused term by term. work: (2p+2, p, stages). False
+    where LAPACK may differ: a non-finite entry, a pivot below the smallest
+    normal double, or a zero at either end of a fused sum, whose sign ddot's
+    start from +0 can flip."""
+    m, p = out.shape
+    e, z, v = work[:p + 1, :, :m], work[p + 1:-1, :, :m], work[-1, :, :m]
+    e[0] = num.T  # e[1 + j, i] = A[i, j]: a stage along the last axis
+    for k, (i, j) in enumerate(combinations_with_replacement(range(p), 2)):
+        e[1 + j, i] = gram[:, k]
+        e[1 + i, j] = e[1 + j, i]
+    t = z[0]  # scratch until the substitutions
+    for j in range(p):
+        c = e[1 + j]  # column j, with the interchanges so far
+        for i in range(1, j):
+            c[i] -= _dot(e[1:1 + i, i].T, c[:i].T, t[0])
+        if j:
+            c[j:] -= _dot(e[1:1 + j, j:].T, c[:j].T[:, None], t[:p - j].T).T
+        if j + 1 < p:
+            mag = np.abs(c[j:], out=t[:p - j])
+            if (mag[1:] > mag[0]).any():  # interchange row j and the pivot's
+                r, s = j + np.argmax(mag, axis=0), np.arange(m)
+                e[:, j, s], e[:, r, s] = e[:, r, s], e[:, j, s]
+            c[j + 1:] *= np.divide(1.0, c[j], out=t[0])
+    # row i of z: y_i, then U[i, p-1], ..., U[i, i+1], the order of the
+    # substitutions' updates; v: 1, then the negated entries solved so far
+    z[1:], z[0, 0], v[0] = e[p:1:-1], e[0, 0], 1.0
+    for i in range(1, p):
+        np.negative(z[0, i - 1], out=v[i])
+        _dot(v[:i + 1].T, e[:i + 1, i].T, z[0, i])
+    np.divide(z[0, p - 1], e[p, p - 1], out=out[:, p - 1])
+    for i in range(p - 2, -1, -1):
+        np.negative(out[:, i + 1], out=v[p - 1 - i])
+        _dot(v[:p - i].T, z[:p - i, i].T, out[:, i])
+        out[:, i] /= e[1 + i, i]
+    return bool(np.abs(np.diagonal(e[1:])).min() >= np.finfo(float).tiny and e[0, 1:].all()
+                and np.isfinite(e.sum() + out.sum()) and z[0].all() and out[:, :-1].all())
 
 
 def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
@@ -260,10 +317,13 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
     most BLOCK_ELEMENTS // p**2 stages: yields (k0, theta) with row i of
     theta the estimate at stage k0 + i. The Gram and numerator sums run over
     j <= k-1 and are carried from block to block, so memory is O(n), not
-    O(n p^2). The Gram sums cover the upper triangle, one row per entry."""
+    O(n p^2). The Gram sums cover the upper triangle, one row per entry. The
+    parts _lu_solve declines go to np.linalg.solve, which raises if singular."""
     n = len(x) - 1
     xp = np.concatenate([np.zeros(p), x])  # lag column i of row j, X_{j-i}, is xp[j - i + p]
     rows = max(1, BLOCK_ELEMENTS // p**2)
+    stages = max(1, BLOCK_ELEMENTS // (2 * p * (p + 1)))
+    work = np.empty((2 * p + 2, p, stages)) if p <= 5 else None
     upper = np.triu_indices(p)
     gram = num = None
     for a in range(0, n, rows):
@@ -276,15 +336,13 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
         num = _running_sum(terms.T, num)
         s = max(0, start - 1 - a)
         if s < b - a:
-            if p == 1 and gram[s:].all():
-                # LAPACK's gesv solves a 1x1 system by this one division, and
-                # warns of nothing; a zero pivot goes to solve, which raises
-                with np.errstate(all="ignore"):
-                    theta = num[s:] / gram[s:]
-            else:
-                g = np.empty((b - a - s, p, p))
-                g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = gram[s:]
-                theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
+            theta = np.empty((b - a - s, p))
+            for lo in range(s, b - a, stages):
+                hi, out = min(lo + stages, b - a), theta[lo - s:lo - s + stages]
+                if work is None or not _lu_solve(work, gram[lo:hi], num[lo:hi], out):
+                    g = np.empty((hi - lo, p, p))
+                    g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = gram[lo:hi]
+                    out[...] = np.linalg.solve(g, num[lo:hi, :, None])[..., 0]
             yield a + 1 + s, theta
 
 

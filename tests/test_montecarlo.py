@@ -15,7 +15,7 @@ import ardw.montecarlo
 from ardw.cli import run
 from ardw.errors import ArdwError
 from ardw.estimators import lag_matrix
-from ardw.montecarlo import DEFAULT_SUITE, _running_sum, _theta_hat_blocks
+from ardw.montecarlo import DEFAULT_SUITE, _lu_solve, _running_sum, _theta_hat_blocks
 from ardw.simulate import NoiseSpec
 from ardw.text import json_text
 
@@ -53,6 +53,64 @@ def lag_matrix_theta_hat_blocks(x, p, start):
             else:
                 theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
             yield a + 1 + s, theta
+
+
+def gesv_stages(a, b):
+    """np.linalg.solve of each stage system a[i] x = b[i] by itself: its
+    bytes, or the repr of its error."""
+    out = []
+    for ai, bi in zip(a, b):
+        try:
+            with np.errstate(all="ignore"):
+                out.append(np.linalg.solve(ai, bi).tobytes())
+        except np.linalg.LinAlgError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def lu_stages(a, b, spare_stages=0):
+    """_lu_solve of the stacked symmetric systems a x = b, given their upper
+    triangles as _theta_hat_blocks gives them, in a workspace of
+    spare_stages more stages: the bytes of each stage's solution, or None
+    where it declines the block."""
+    m, p = b.shape
+    out = np.empty((m, p))
+    work = np.empty((2 * p + 2, p, m + spare_stages))
+    rows, cols = np.triu_indices(p)
+    solved = _lu_solve(work, a[:, rows, cols], b, out)
+    return [row.tobytes() for row in out] if solved else None
+
+
+def stage_systems(family, rng, p, m, scale):
+    """m stacked symmetric (p, p) systems a x = b of one family, scaled by
+    `scale` (the path, for "gram"): a random matrix's upper triangle
+    mirrored."""
+    if family == "dense":  # Gaussian, each system scaled by e^(+-20)
+        a = rng.standard_normal((m, p, p)) * np.exp(rng.uniform(-20, 20, (m, 1, 1)))
+        b = rng.standard_normal((m, p))
+    elif family == "gram":  # the rate diagnostic's sums over a scaled stable path
+        x = ardw.simulate(random_stable_params(rng, p), m + 60,
+                          seed=int(rng.integers(2**32))).x * scale
+        lags = lag_matrix(x, p)
+        with np.errstate(all="ignore"):
+            return (np.cumsum(lags[:, :, None] * lags[:, None, :], axis=0)[-m:],
+                    np.cumsum(lags * x[1:, None], axis=0)[-m:])
+    elif family == "ties":  # {-1, 0, 1} entries: many equal |c_i| in pivoting
+        a = rng.integers(-1, 2, (m, p, p)).astype(float)
+        b = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], (m, p))
+    elif family == "tied_lags":  # Gram sums of {-1, 0, 1} lags, integer sums
+        lags = rng.integers(-1, 2, (m, 2 * p + 1, p)).astype(float)
+        a = lags.transpose(0, 2, 1) @ lags
+        b = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], (m, p))
+    else:  # "zeros": Gaussian with +0.0 and -0.0 entries
+        a = rng.standard_normal((m, p, p))
+        b = rng.standard_normal((m, p))
+        for arr, share in ((a, 0.3), (b, 0.05)):
+            arr[rng.random(arr.shape) < share] = 0.0
+            arr[rng.random(arr.shape) < share] = -0.0
+    rows, cols = np.triu_indices(p)
+    a[:, cols, rows] = a[:, rows, cols]
+    return a * scale, b * scale
 
 
 def small_config(**kw):
@@ -396,10 +454,32 @@ class TestRateDiagnostic:
             mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", cap)
             assert stages(_theta_hat_blocks) == stages(lag_matrix_theta_hat_blocks)
 
-    @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3]], ids=["p1", "p2"])
+    @given(st.integers(0, 2**32), st.integers(1, 5),
+           st.sampled_from(["dense", "gram", "ties", "tied_lags", "zeros"]),
+           st.sampled_from([1e-160, 1.0, 1e140, 1e154]), st.integers(1, 40), st.integers(0, 3))
+    @example(7, 3, "ties", 1.0, 40, 0)  # equal |c_i|: the first is the pivot
+    @example(8, 5, "dense", 1.0, 40, 3)  # 4- and 5-term fused chains
+    @example(9, 2, "gram", 1e-160, 10, 0)  # subnormal pivots: declined
+    @example(10, 4, "zeros", 1.0, 40, 1)  # zero products and -0.0 entries
+    def test_lu_solve_has_the_bits_of_gesv(self, seed, p, family, scale, m, spare):
+        # _lu_solve declines a block if it declines any of its stages alone
+        # (the block then goes to np.linalg.solve), and it takes every block
+        # of finite systems well inside the normal range. The stages it
+        # takes, as one block, have the bytes LAPACK's gesv gives each alone
+        a, b = stage_systems(family, np.random.default_rng(seed), p, m, scale)
+        kept = [i for i in range(m) if lu_stages(a[i:i + 1], b[i:i + 1]) is not None]
+        assert (lu_stages(a, b, spare) is None) == (len(kept) < m)
+        if family in ("dense", "gram") and scale in (1.0, 1e140):
+            assert len(kept) == m
+        if kept:
+            assert lu_stages(a[kept], b[kept], spare) == gesv_stages(a[kept], b[kept])
+
+    @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3], [0.3, -0.2, 0.25],
+                                       [0.3, -0.2, 0.1, 0.15], [0.1] * 5, [0.1] * 6],
+                             ids=["p1", "p2", "p3", "p4", "p5", "p6"])
     def test_zero_path_raises_singular(self, theta):
-        # every stage system of a zero path is singular; a 1x1 block of them
-        # goes to np.linalg.solve, which raises as it does for p x p
+        # every stage system of a zero path is singular: up to p = 5 the
+        # solver declines its zero pivots, and np.linalg.solve raises
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             ardw.rate_diagnostic(params(theta, 0.3), 500, noise=ZeroNoise())
 
@@ -422,8 +502,10 @@ class TestRateDiagnostic:
         assert len(texts) == 1
 
     def test_memory_grows_by_the_path_and_its_lags(self):
-        # per extra step: the path, its p lag columns and one array of slack,
-        # nothing of size p^2
+        # per extra step at p = 3: 16 bytes, the path and its copy after p
+        # zeros, whose slices are the lags. simulate's three arrays alone read
+        # 24, and a lag matrix would add 8p; the stage solver's workspace
+        # does not grow with n
         prm = DEFAULT_SUITE[4]
         ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
         peaks = []
@@ -434,7 +516,22 @@ class TestRateDiagnostic:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 8 * (prm.p + 4) * 100_000
+        assert peaks[1] - peaks[0] <= 28 * 100_000
+
+    @pytest.mark.parametrize("pid, sigma2, digest", [
+        (3, 1e250, "b9f2800f34bd203c5576b30e5d84b7f32fed75b7b600d1dfc322b3f1f30e6432"),
+        (3, 1e300, "ff8aee04d2e1ead031a253fcba69f0a2651b11427ebcd1da7a846bed6ad1ac3f"),
+        (4, 1e250, "6e9fce2c7a3984167913470c0b3e0ce486b90282cf38f324917d5536cf137f3b"),
+        (4, 1e300, "7dc1684eed37d5b996a0772926f5fb379e1c7e147cb7d140f9eea2af7a77f521"),
+    ], ids=["p2_1e250", "p2_1e300", "p3_1e250", "p3_1e300"])
+    def test_near_overflow_same_report_and_no_warning(self, pid, sigma2, digest):
+        # paths of scale 1e125 and 1e150, whose Gram sums overflow at 1e300:
+        # the reports np.linalg.solve gave for every stage, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ardw.rate_diagnostic(DEFAULT_SUITE[pid], 5000, seed=3,
+                                          noise=NoiseSpec(sigma2=sigma2))
+        assert hashlib.sha256(json_text(report).encode()).hexdigest() == digest
 
     def test_peak_is_the_simulated_path(self):
         # in path lengths of 8(n+1) bytes, at p = 3: simulate's x, eps and v,
