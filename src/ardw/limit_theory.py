@@ -60,10 +60,13 @@ class ModelParams:
         check_stability(self)
 
 
-def _check_integer(name: str, value) -> int:
-    """value as an int; a non-integer value (a bool included) raises ValueError."""
+def _check_integer(name: str, value, low: int | None = None) -> int:
+    """value as an int; a non-integer value (a bool included), or one below
+    low if given, raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArdwError, RowErrors
-from .estimators import fit
+from .estimators import _dot, fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
@@ -53,18 +53,14 @@ class StudyConfig:
     def __post_init__(self):
         for name in ("params_list", "n_list", "tests"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("reps", "master_seed", "burn_in"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
+        for name, low in (("reps", 100), ("master_seed", 0), ("burn_in", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         object.__setattr__(self, "n_list", tuple(_check_integer("n", n) for n in self.n_list))
-        if self.master_seed < 0 or self.burn_in < 0:
-            raise ValueError("master_seed and burn_in must be >= 0")
-        if self.reps < 100:
-            raise ValueError("reps must be >= 100")
         object.__setattr__(self, "level", _check_level(self.level))
         _check_names(self.tests)
         for prm in self.params_list:
-            if any(n < prm.p + 2 for n in self.n_list):
-                raise ValueError(f"every n must be >= p+2 = {prm.p + 2}")
+            for n in self.n_list:
+                _check_length(prm, n)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "StudyConfig":
@@ -104,10 +100,11 @@ class PowerTable:
 #: most elements (rows x n) of a block of replications. The largest array
 #: of a block, the rows x n x (p+1) Breusch-Godfrey tensor, stays at a few
 #: MB; a path longer than this is a block by itself. The rate diagnostic
-#: sums its stages in blocks of BLOCK_ELEMENTS // p**2 and solves their
-#: (p, p) Gram systems in parts of BLOCK_ELEMENTS // (2p (p+1)): by
-#: _lu_solve, whose bits follow the installed OpenBLAS, for p <= 5, and by
-#: np.linalg.solve from p = 6 and for the parts _lu_solve declines.
+#: sums its stages in blocks of BLOCK_ELEMENTS // p**2, p (p+3) / 2 Gram and
+#: numerator sums a stage, and solves their (p, p) systems in parts of
+#: BLOCK_ELEMENTS // (2p (p+1)) stages: by _lu_solve, whose bits follow the
+#: installed OpenBLAS, for p <= 5, and by np.linalg.solve from p = 6 and for
+#: the parts _lu_solve declines.
 BLOCK_ELEMENTS = 2**16
 
 
@@ -148,10 +145,7 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     for the whole study, of at most os.cpu_count() processes; workers must
     be an integer >= 1, or ValueError.
     """
-    workers = _check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(_check_integer("workers", workers, 1), os.cpu_count() or 1)
     cells = [
         (params_id, n)
         for params_id in range(len(config.params_list))
@@ -198,9 +192,7 @@ def clt_diagnostic(
     joint covariance is singular the joint check is skipped with a flag.
     Fewer than 2 successful fits raise ArdwError.
     """
-    n, reps = _check_integer("n", n), _check_integer("reps", reps)
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    n, reps = _check_integer("n", n), _check_integer("reps", reps, 2)
     limits: LimitSummary = limit_summary(params)
     _check_length(params, n)
     seed = _check_seed_int(seed)
@@ -250,22 +242,27 @@ def _running_sum(terms: np.ndarray, last: np.ndarray | None) -> np.ndarray:
     return np.cumsum(terms, axis=0, out=terms)
 
 
-def _upper_products(cols, out: np.ndarray) -> np.ndarray:
-    """Row k of out = cols[i] * cols[j] for the k-th pair i <= j in row order,
-    the order of np.triu_indices: one multiplication along each pair's rows."""
-    for row, (i, j) in zip(out, combinations_with_replacement(range(len(cols)), 2)):
+def _pairs(p: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i <= j, of a p x p upper triangle in row order: the
+    layout of every triangle of sums, one entry per pair."""
+    return list(combinations_with_replacement(range(p), 2))
+
+
+def _product_sums(cols, pairs, last: np.ndarray | None) -> np.ndarray:
+    """Column k of the result is the running sum over the stages of
+    cols[i] * cols[j] for the k-th pair (i, j), continued from last (see
+    _running_sum): one multiplication along each pair's stages."""
+    terms = np.empty((len(pairs), len(cols[0])))
+    for row, (i, j) in zip(terms, pairs):
         np.multiply(cols[i], cols[j], out=row)
-    return out
+    return _running_sum(terms.T, last)
 
 
-def _dot(a, b, out):
-    """out = a . b along the last axis, each summed as OpenBLAS's ddot sums:
-    from +0, one fused multiply-add per term, by one ddot call per stage."""
-    if a.shape[-1] == 1:  # the product, +0 for -0
-        return np.add(np.multiply(a[..., 0], b[..., 0], out=out), 0.0, out=out)
-    if a.shape[-1] >= 4:  # a strided ddot of 4 or more terms sums in two halves
-        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    np.matmul(a[..., None, :], b[..., :, None], out=out[..., None, None])
+def _mirror(upper, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = out[j, i] = upper[k] for the k-th pair (i, j) of _pairs:
+    the symmetric matrix (over the first two axes of out) of a triangle."""
+    for k, (i, j) in enumerate(_pairs(len(out))):
+        out[i, j] = out[j, i] = upper[k]
     return out
 
 
@@ -281,9 +278,7 @@ def _lu_solve(work, gram, num, out) -> bool:
     m, p = out.shape
     e, z, v = work[:p + 1, :, :m], work[p + 1:-1, :, :m], work[-1, :, :m]
     e[0] = num.T  # e[1 + j, i] = A[i, j]: a stage along the last axis
-    for k, (i, j) in enumerate(combinations_with_replacement(range(p), 2)):
-        e[1 + j, i] = gram[:, k]
-        e[1 + i, j] = e[1 + j, i]
+    _mirror(gram.T, e[1:])
     t = z[0]  # scratch until the substitutions
     for j in range(p):
         c = e[1 + j]  # column j, with the interchanges so far
@@ -317,31 +312,29 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
     most BLOCK_ELEMENTS // p**2 stages: yields (k0, theta) with row i of
     theta the estimate at stage k0 + i. The Gram and numerator sums run over
     j <= k-1 and are carried from block to block, so memory is O(n), not
-    O(n p^2). The Gram sums cover the upper triangle, one row per entry. The
-    parts _lu_solve declines go to np.linalg.solve, which raises if singular."""
+    O(n p^2). The Gram sums cover the upper triangle, one column per entry.
+    Lag column i of row j, X_{j-i}, is a slice of x, or of a copy of x[:b]
+    after p zeros for a block that starts before X_p. The parts _lu_solve
+    declines go to np.linalg.solve, which raises if singular."""
     n = len(x) - 1
-    xp = np.concatenate([np.zeros(p), x])  # lag column i of row j, X_{j-i}, is xp[j - i + p]
     rows = max(1, BLOCK_ELEMENTS // p**2)
     stages = max(1, BLOCK_ELEMENTS // (2 * p * (p + 1)))
     work = np.empty((2 * p + 2, p, stages)) if p <= 5 else None
-    upper = np.triu_indices(p)
+    pairs, numerators = _pairs(p), [(i, p) for i in range(p)]  # lag i times X_{j+1}
     gram = num = None
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        lags = [xp[a - i + p:b - i + p] for i in range(p)]
-        gram = _running_sum(_upper_products(lags, np.empty((len(upper[0]), b - a))).T, gram)
-        terms = np.empty((p, b - a))
-        for lag, row in zip(lags, terms):
-            np.multiply(lag, x[a + 1:b + 1], out=row)
-        num = _running_sum(terms.T, num)
+        src, shift = (x, 0) if a >= p else (np.concatenate([np.zeros(p), x[:b]]), p)
+        cols = [src[a - i + shift:b - i + shift] for i in range(p)] + [x[a + 1:b + 1]]
+        gram = _product_sums(cols, pairs, gram)
+        num = _product_sums(cols, numerators, num)
         s = max(0, start - 1 - a)
         if s < b - a:
             theta = np.empty((b - a - s, p))
             for lo in range(s, b - a, stages):
                 hi, out = min(lo + stages, b - a), theta[lo - s:lo - s + stages]
                 if work is None or not _lu_solve(work, gram[lo:hi], num[lo:hi], out):
-                    g = np.empty((hi - lo, p, p))
-                    g[:, upper[0], upper[1]] = g[:, upper[1], upper[0]] = gram[lo:hi]
+                    g = _mirror(gram[lo:hi].T, np.empty((p, p, hi - lo))).transpose(2, 0, 1)
                     out[...] = np.linalg.solve(g, num[lo:hi, :, None])[..., 0]
             yield a + 1 + s, theta
 
@@ -370,16 +363,14 @@ def rate_diagnostic(
     checkpoints = [cp for cp in grid.tolist() if cp > start]
     x = simulate(params, n_max, noise=noise, seed=seed).x
     p = params.p
-    upper = np.triu_indices(p)
     # the error and the running sum of its outer products, kept at the
     # checkpoints. The sum covers the upper triangle (i <= j) in row order;
-    # errors and products are held one row per component, so that each
-    # multiplication runs along the stages of the block.
+    # errors are held one row per component, so that each multiplication
+    # runs along the stages of the block.
     kept, cum_upper = {}, None
     for k0, theta in _theta_hat_blocks(x, p, start):
         err = np.subtract(theta.T, limits.theta_star[:, None], order="C")
-        terms = _upper_products(err, np.empty((len(upper[0]), len(theta))))
-        cum_upper = _running_sum(terms.T, cum_upper)
+        cum_upper = _product_sums(err, _pairs(p), cum_upper)
         for cp in checkpoints:
             if k0 <= cp < k0 + len(theta):
                 kept[cp] = err[:, cp - k0].copy(), cum_upper[cp - k0].copy()
@@ -388,9 +379,7 @@ def rate_diagnostic(
     tr_sigma = float(np.trace(limits.Sigma_theta))
     for cp in checkpoints:
         err, upper_sum = kept[cp]
-        cum = np.empty((p, p))
-        cum[upper] = cum.T[upper] = upper_sum
-        qsl = cum / np.log(cp)
+        qsl = _mirror(upper_sum, np.empty((p, p))) / np.log(cp)
         lil = cp * float(err @ err) / (2.0 * np.log(np.log(cp)))
         rows.append(
             {

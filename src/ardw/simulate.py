@@ -283,10 +283,8 @@ def simulate(
     integers (numpy integers are stored as int) and seeds >= 0, or
     ValueError.
     """
-    n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in)
+    n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in, 0)
     _check_length(params, n)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
     seeds = [_check_seed(s) for s in (seed if isinstance(seed, list) else [seed])]
     x, eps, v = _paths(params, n, noise, seeds, burn_in)
     if isinstance(seed, list):

@@ -178,9 +178,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "extra, message",
         [(["--burn-in", "-5"], "burn_in"),
+         (["--burn-in", "-1"], "burn_in must be >= 0, got -1"),
          (["--sigma2", "inf"], "finite"),
          (["--noise", "student_t", "--df", "inf"], "df must be finite")],
-        ids=["burn_in_negative", "sigma2_inf", "df_inf"],
+        ids=["burn_in_negative", "burn_in_minus_one", "sigma2_inf", "df_inf"],
     )
     def test_bad_simulate_input_exit_2(self, tmp_path, capsys, extra, message):
         csv = tmp_path / "traj.csv"
@@ -232,7 +233,7 @@ class TestPowerCommand:
     @pytest.mark.parametrize(
         "change, message",
         [({"tests": ["dw_chi2", "no_such_test"]}, "unknown test"),
-         ({"n_list": [100, 3]}, "p+2"),
+         ({"n_list": [100, 3]}, "need n >= p+2 = 4"),
          ({"n_list": None}, "n_list"),
          ({"params_list": None}, "params_list"),
          ({"params_list": [{"theta": [0.4, -0.3], "rho": 0.0}]}, "'p'"),
@@ -243,8 +244,9 @@ class TestPowerCommand:
          ({"reps": True}, "reps must be an integer"),
          ({"n_list": [100.5]}, "n must be an integer"),
          ({"master_seed": 1.5}, "master_seed must be an integer"),
-         ({"master_seed": -1}, "master_seed"),
-         ({"burn_in": -4}, "burn_in"),
+         ({"reps": 50}, "reps must be >= 100, got 50"),
+         ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+         ({"burn_in": -4}, "burn_in must be >= 0, got -4"),
          ({"noise": {"scale": 2}}, "'scale'"),
          ({"noise": {"sigma2": float("inf")}}, "sigma2 must be finite"),
          ({"noise": {"family": "student_t", "df": float("inf")}}, "df must be finite"),
@@ -263,7 +265,8 @@ class TestPowerCommand:
          ({"level": 2}, "level must be in (0, 1), got 2.0")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
-             "reps_bool", "n_float", "master_seed_float", "master_seed_negative",
+             "reps_bool", "n_float", "master_seed_float", "reps_below_100",
+             "master_seed_negative",
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
              "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key",
              "p_bool", "p_float", "p_string", "rho_string", "level_string",

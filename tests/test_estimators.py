@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ardw
 from ardw.errors import DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
-from ardw.estimators import _checked_solve, lag_matrix, sample_autocov_toeplitz
+from ardw.estimators import _checked_solve, _dot, lag_matrix, sample_autocov_toeplitz
 
 
 def params(theta, rho, sigma2=1.0):
@@ -220,6 +220,37 @@ class TestResiduals:
         finally:
             tracemalloc.stop()
         assert peak <= 5.2 * 8 * (n + 1)
+
+
+def operand(rng, shape, strided):
+    """Gaussian entries of mixed scale, with +0.0 and -0.0 among them; if
+    strided, a view with a stride of 3 entries along the last axis."""
+    full = rng.standard_normal((*shape, 3)) * np.exp(rng.uniform(-5.0, 5.0, (*shape, 3)))
+    full[rng.random(full.shape) < 0.1] = 0.0
+    full[rng.random(full.shape) < 0.1] = -0.0
+    return full[..., 0] if strided else np.ascontiguousarray(full[..., 0])
+
+
+class TestDot:
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.integers(0, 50),
+           st.sampled_from([(False, False), (True, False), (False, True), (True, True)]),
+           st.booleans())
+    @example(1, 4, 200, (True, False), False)  # 4 terms, one operand strided
+    @example(2, 1, 50, (False, False), True)  # one term: the product, +0 for -0
+    def test_rows_have_the_bits_of_a_1d_matmul(self, seed, terms, rows, strided, into):
+        # every row of _dot(a, b), for one series (rows = 0) and a block,
+        # strided or not, is what a 1-D `a_i @ b_i` of contiguous copies
+        # gives, whose BLAS ddot sums from +0 by fused multiply-adds
+        rng = np.random.default_rng(seed)
+        shape = (rows, terms) if rows else (terms,)
+        a, b = (operand(rng, shape, s) for s in strided)
+        out = np.full(shape[:-1], np.nan) if into else None
+        got = np.asarray(_dot(a, b, out))
+        if into:
+            assert got.tobytes() == out.tobytes()
+        want = [np.ascontiguousarray(ai) @ np.ascontiguousarray(bi)
+                for ai, bi in zip(a.reshape(-1, terms), b.reshape(-1, terms))]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestOlsRho:
