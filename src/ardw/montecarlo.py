@@ -23,7 +23,7 @@ from .errors import ArdwError, RowErrors
 from .estimators import _dot, fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
-from .simulate import NoiseSpec, _check_length, _check_seed_int, _linear_filter, _paths, simulate
+from .simulate import NoiseSpec, _check_length, _linear_filter, _paths, simulate
 from .text import csv_text
 
 #: documented default parameter sets spanning orders 1..3 and
@@ -100,11 +100,7 @@ class PowerTable:
 #: most elements (rows x n) of a block of replications. The largest array
 #: of a block, the rows x n x (p+1) Breusch-Godfrey tensor, stays at a few
 #: MB; a path longer than this is a block by itself. The rate diagnostic
-#: sums its stages in blocks of BLOCK_ELEMENTS // p**2, p (p+3) / 2 Gram and
-#: numerator sums a stage, and solves their (p, p) systems in parts of
-#: BLOCK_ELEMENTS // (2p (p+1)) stages: by _lu_solve, whose bits follow the
-#: installed OpenBLAS, for p <= 5, and by np.linalg.solve from p = 6 and for
-#: the parts _lu_solve declines.
+#: sums and solves its stages in blocks of BLOCK_ELEMENTS // (2p (p+1)).
 BLOCK_ELEMENTS = 2**16
 
 
@@ -195,7 +191,7 @@ def clt_diagnostic(
     n, reps = _check_integer("n", n), _check_integer("reps", reps, 2)
     limits: LimitSummary = limit_summary(params)
     _check_length(params, n)
-    seed = _check_seed_int(seed)
+    seed = _check_integer("seed", seed, 0)
     kept, first = [], None
     seeds = [(seed, rep) for rep in range(reps)]
     for fits, errors, _ in _replicate(params, n, noise, seeds):
@@ -233,15 +229,6 @@ def clt_diagnostic(
     return report
 
 
-def _running_sum(terms: np.ndarray, last: np.ndarray | None) -> np.ndarray:
-    """np.cumsum(terms, axis=0) in place, continued from the last row of the
-    previous block: the same additions in the same order as one cumsum over
-    the whole path. The first block (last None) adds nothing, so a -0.0 stays."""
-    if last is not None:
-        terms[0] += last[-1]
-    return np.cumsum(terms, axis=0, out=terms)
-
-
 def _pairs(p: int) -> list[tuple[int, int]]:
     """The pairs (i, j), i <= j, of a p x p upper triangle in row order: the
     layout of every triangle of sums, one entry per pair."""
@@ -250,12 +237,17 @@ def _pairs(p: int) -> list[tuple[int, int]]:
 
 def _product_sums(cols, pairs, last: np.ndarray | None) -> np.ndarray:
     """Column k of the result is the running sum over the stages of
-    cols[i] * cols[j] for the k-th pair (i, j), continued from last (see
-    _running_sum): one multiplication along each pair's stages."""
+    cols[i] * cols[j] for the k-th pair (i, j): one multiplication along each
+    pair's stages, then np.cumsum in place, continued from the last row of
+    the previous block's sums. That makes the same additions in the same
+    order as one cumsum over the whole path. The first block (last None) adds
+    nothing, so a -0.0 stays."""
     terms = np.empty((len(pairs), len(cols[0])))
     for row, (i, j) in zip(terms, pairs):
         np.multiply(cols[i], cols[j], out=row)
-    return _running_sum(terms.T, last)
+    if last is not None:
+        terms[:, 0] += last[-1]
+    return np.cumsum(terms.T, axis=0, out=terms.T)
 
 
 def _mirror(upper, out: np.ndarray) -> np.ndarray:
@@ -267,16 +259,19 @@ def _mirror(upper, out: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # LAPACK warns of nothing
-def _lu_solve(work, gram, num, out) -> bool:
+def _lu_solve(gram, num, out) -> bool:
     """Solve A x = num into out (A mirrored from its upper triangle gram) as
     OpenBLAS's dgesv does for p <= 5, each step over all the stages: getf2's
     left-looking LU (pivot: the first largest |c_i|, by its reciprocal), then
-    getrs' substitutions, fused term by term. work: (2p+2, p, stages). False
-    where LAPACK may differ: a non-finite entry, a pivot below the smallest
-    normal double, or a zero at either end of a fused sum, whose sign ddot's
-    start from +0 can flip."""
+    getrs' substitutions, fused term by term. False where LAPACK may differ:
+    p > 5, a non-finite entry, a pivot below the smallest normal double, or a
+    zero at either end of a fused sum, whose sign ddot's start from +0 can
+    flip."""
     m, p = out.shape
-    e, z, v = work[:p + 1, :, :m], work[p + 1:-1, :, :m], work[-1, :, :m]
+    if p > 5:
+        return False
+    work = np.empty((2 * p + 2, p, m))
+    e, z, v = work[:p + 1], work[p + 1:-1], work[-1]
     e[0] = num.T  # e[1 + j, i] = A[i, j]: a stage along the last axis
     _mirror(gram.T, e[1:])
     t = z[0]  # scratch until the substitutions
@@ -309,17 +304,15 @@ def _lu_solve(work, gram, num, out) -> bool:
 
 def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
     """Estimates at every stage k >= start along one path, in blocks of at
-    most BLOCK_ELEMENTS // p**2 stages: yields (k0, theta) with row i of
-    theta the estimate at stage k0 + i. The Gram and numerator sums run over
-    j <= k-1 and are carried from block to block, so memory is O(n), not
-    O(n p^2). The Gram sums cover the upper triangle, one column per entry.
-    Lag column i of row j, X_{j-i}, is a slice of x, or of a copy of x[:b]
-    after p zeros for a block that starts before X_p. The parts _lu_solve
-    declines go to np.linalg.solve, which raises if singular."""
+    most BLOCK_ELEMENTS // (2p (p+1)) stages: yields (k0, theta) with row i
+    of theta the estimate at stage k0 + i. The Gram and numerator sums run
+    over j <= k-1 and are carried from block to block, so memory is O(n),
+    not O(n p^2). The Gram sums cover the upper triangle, one column per
+    entry. Lag column i of row j, X_{j-i}, is a slice of x, or of a copy of
+    x[:b] after p zeros for a block that starts before X_p. The blocks
+    _lu_solve declines go to np.linalg.solve, which raises if singular."""
     n = len(x) - 1
-    rows = max(1, BLOCK_ELEMENTS // p**2)
-    stages = max(1, BLOCK_ELEMENTS // (2 * p * (p + 1)))
-    work = np.empty((2 * p + 2, p, stages)) if p <= 5 else None
+    rows = max(1, BLOCK_ELEMENTS // (2 * p * (p + 1)))
     pairs, numerators = _pairs(p), [(i, p) for i in range(p)]  # lag i times X_{j+1}
     gram = num = None
     for a in range(0, n, rows):
@@ -331,11 +324,9 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
         s = max(0, start - 1 - a)
         if s < b - a:
             theta = np.empty((b - a - s, p))
-            for lo in range(s, b - a, stages):
-                hi, out = min(lo + stages, b - a), theta[lo - s:lo - s + stages]
-                if work is None or not _lu_solve(work, gram[lo:hi], num[lo:hi], out):
-                    g = _mirror(gram[lo:hi].T, np.empty((p, p, hi - lo))).transpose(2, 0, 1)
-                    out[...] = np.linalg.solve(g, num[lo:hi, :, None])[..., 0]
+            if not _lu_solve(gram[s:], num[s:], theta):
+                g = _mirror(gram[s:].T, np.empty((p, p, len(theta)))).transpose(2, 0, 1)
+                theta[...] = np.linalg.solve(g, num[s:, :, None])[..., 0]
             yield a + 1 + s, theta
 
 
@@ -363,36 +354,34 @@ def rate_diagnostic(
     checkpoints = [cp for cp in grid.tolist() if cp > start]
     x = simulate(params, n_max, noise=noise, seed=seed).x
     p = params.p
-    # the error and the running sum of its outer products, kept at the
-    # checkpoints. The sum covers the upper triangle (i <= j) in row order;
-    # errors are held one row per component, so that each multiplication
-    # runs along the stages of the block.
-    kept, cum_upper = {}, None
+    # the error and the running sum of its outer products, read at each
+    # checkpoint as its block passes. The sum covers the upper triangle
+    # (i <= j) in row order; errors are held one row per component, so that
+    # each multiplication runs along the stages of the block. The error
+    # column is copied: e @ e of a strided column of 4 or more terms sums in
+    # another order.
+    rows, cum_upper = [], None
+    tr_sigma = float(np.trace(limits.Sigma_theta))
     for k0, theta in _theta_hat_blocks(x, p, start):
         err = np.subtract(theta.T, limits.theta_star[:, None], order="C")
         cum_upper = _product_sums(err, _pairs(p), cum_upper)
         for cp in checkpoints:
             if k0 <= cp < k0 + len(theta):
-                kept[cp] = err[:, cp - k0].copy(), cum_upper[cp - k0].copy()
-
-    rows = []
-    tr_sigma = float(np.trace(limits.Sigma_theta))
-    for cp in checkpoints:
-        err, upper_sum = kept[cp]
-        qsl = _mirror(upper_sum, np.empty((p, p))) / np.log(cp)
-        lil = cp * float(err @ err) / (2.0 * np.log(np.log(cp)))
-        rows.append(
-            {
-                "n": cp,
-                "qsl_matrix": qsl.tolist(),
-                "qsl_rel_error": float(
-                    np.linalg.norm(qsl - limits.Sigma_theta)
-                    / np.linalg.norm(limits.Sigma_theta)
-                ),
-                "lil_normalized": lil,
-                "lil_over_trace": lil / tr_sigma,
-            }
-        )
+                e = err[:, cp - k0].copy()
+                qsl = _mirror(cum_upper[cp - k0], np.empty((p, p))) / np.log(cp)
+                lil = cp * float(e @ e) / (2.0 * np.log(np.log(cp)))
+                rows.append(
+                    {
+                        "n": cp,
+                        "qsl_matrix": qsl.tolist(),
+                        "qsl_rel_error": float(
+                            np.linalg.norm(qsl - limits.Sigma_theta)
+                            / np.linalg.norm(limits.Sigma_theta)
+                        ),
+                        "lil_normalized": lil,
+                        "lil_over_trace": lil / tr_sigma,
+                    }
+                )
     return {
         "n_max": n_max,
         "trace_sigma_theta": tr_sigma,

@@ -184,28 +184,26 @@ def _state_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
 
 
+def _entropy_words(seed) -> list[int]:
+    """The uint32 words of a checked seed's SeedSequence entropy, which is
+    the seed if a tuple and (seed,) if an int: each int as its 32-bit words,
+    low first (one word for 0). Ints past uint64 split the same way."""
+    words = []
+    for v in seed if isinstance(seed, tuple) else (seed,):
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    return words
+
+
 def _seed_words(seeds: list) -> np.ndarray:
     """(rows, 4) uint64: SeedSequence(e).generate_state(4, np.uint64) for
-    each checked seed, whose entropy e is the seed if a tuple and (seed,) if
-    an int. Each int enters e as its 32-bit words, low first (one word for
-    0)."""
-    entropies = [s if isinstance(s, tuple) else (s,) for s in seeds]
-    flat = [v for e in entropies for v in e]
-    top = max(flat, default=0)
-    wide = max(1, -(-top.bit_length() // 32))
-    # ints past uint64 (SeedSequence takes any size) split as Python objects
-    ints = np.array(flat, dtype=np.uint64 if top < 2**64 else object)
-    words = np.stack([(ints >> (32 * k)) & 0xFFFFFFFF for k in range(wide)], axis=1)
-    counts = np.ones(len(flat), dtype=np.intp)
-    for k in range(1, wide):
-        counts += ints >= 2 ** (32 * k)
-    sizes = np.fromiter(map(len, entropies), dtype=np.intp, count=len(entropies))
-    lengths = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
-    row = np.repeat(np.arange(len(seeds)), lengths)
-    at = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    entropy = np.zeros((lengths.max(initial=0), len(seeds)), dtype=np.uint32)
-    entropy[at, row] = words[np.arange(wide) < counts[:, None]]
-    return _state_words(entropy, lengths)
+    each checked seed, e its entropy (see _entropy_words)."""
+    words = [_entropy_words(s) for s in seeds]
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
+    width = lengths.max(initial=0)
+    entropy = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32)
+    return _state_words(entropy.reshape(len(seeds), width).T, lengths)
 
 
 class _SeedWords:
@@ -224,20 +222,13 @@ class _SeedWords:
         return self.words
 
 
-def _check_seed_int(value) -> int:
-    value = _check_integer("seed", value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    return value
-
-
 def _check_seed(seed) -> int | tuple[int, ...]:
     """seed, an int or a non-empty tuple of ints, with every int as int."""
     if not isinstance(seed, tuple):
-        return _check_seed_int(seed)
+        return _check_integer("seed", seed, 0)
     if not seed:
         raise ValueError("a seed tuple needs at least one integer")
-    return tuple(map(_check_seed_int, seed))
+    return tuple(_check_integer("seed", s, 0) for s in seed)
 
 
 def _generators(seeds: list) -> list[np.random.Generator]:

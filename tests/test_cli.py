@@ -324,7 +324,7 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ('{"error": "ValueError", '
-                                '"message": "expected non-negative integer"}\n')
+                                '"message": "seed must be >= 0, got -1"}\n')
 
     def test_rate(self, capsys):
         assert run(

@@ -246,6 +246,40 @@ class TestLyapunovOracle:
                 assert lam[d] == pytest.approx(rhs, abs=1e-10)
 
 
+def yule_walker_rho(gamma):
+    """(theta_hat, rho_hat) as functions of gamma_0..gamma_{p+1}, complex
+    ones included: theta solves the order-p Toeplitz system and rho is the
+    lag-one autocorrelation of the residuals a . X, a = (1, -theta)."""
+    p = len(gamma) - 2
+    i, j = np.ogrid[:p + 1, :p + 1]
+    theta = np.linalg.solve(gamma[abs(i - j)][:p, :p], gamma[1:p + 1])
+    a = np.concatenate(([1.0], -theta))
+    return np.append(theta, a @ gamma[abs(1 + j - i)] @ a / (a @ gamma[abs(i - j)] @ a))
+
+
+class TestGammaOracle:
+    def test_gamma_is_the_delta_method_of_bartletts_formula(self):
+        # (theta_hat, rho_hat) = g(gamma_hat_0..gamma_hat_{p+1}) up to O(1/n),
+        # with g homogeneous of degree 0, so Gamma = G W G' (G the Jacobian of
+        # g at the true autocovariances, by complex step; W the second-order
+        # part of Bartlett's formula, summed over |k| <= K). The fourth-moment
+        # part of W drops out because G . gamma = 0 (Euler's identity).
+        rng, K, h = np.random.default_rng(11), 3000, 1e-20
+        for draw in range(200):
+            prm = random_stable_params(rng, draw % 5 + 1)
+            m = prm.p + 2
+            lam = ardw.lyapunov_lambda_oracle(prm, K + m - 1)
+            full = np.concatenate((lam[:0:-1], lam))  # gamma_|k| at k + K + m - 1
+            k = np.arange(-K, K + 1) + K + m - 1
+            W = np.array([[full[k] @ full[k - i + j] + full[k + j] @ full[k - i]
+                           for j in range(m)] for i in range(m)])
+            G = np.array([yule_walker_rho(lam[:m] + h * 1j * e).imag / h
+                          for e in np.eye(m)]).T
+            gamma = ardw.limit_summary(prm).Gamma
+            assert np.abs(G @ W @ G.T - gamma).max() <= 1e-7 * np.abs(gamma).max(), prm
+            assert np.abs(G @ lam[:m]).max() <= 1e-9 * np.abs(G).max() * lam[0], prm
+
+
 class TestLimitSummary:
     def test_p1_theta_star(self):
         s = ardw.limit_summary(params([0.5], 0.3))

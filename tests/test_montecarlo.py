@@ -15,7 +15,7 @@ import ardw.montecarlo
 from ardw.cli import run
 from ardw.errors import ArdwError
 from ardw.estimators import lag_matrix
-from ardw.montecarlo import DEFAULT_SUITE, _lu_solve, _running_sum, _theta_hat_blocks
+from ardw.montecarlo import DEFAULT_SUITE, _lu_solve, _theta_hat_blocks
 from ardw.simulate import NoiseSpec
 from ardw.text import json_text
 
@@ -36,23 +36,22 @@ class ZeroNoise(NoiseSpec):
 
 
 def lag_matrix_theta_hat_blocks(x, p, start):
-    """_theta_hat_blocks written with a lag matrix and broadcast (rows, p, p)
-    Gram products: the reference for the bits of every stage."""
+    """_theta_hat_blocks written with a lag matrix, broadcast (n, p, p) Gram
+    products and one cumsum over the whole path: the reference for the bits
+    of every stage, cut into the blocks _theta_hat_blocks yields."""
     L = lag_matrix(x, p)
-    rows = max(1, ardw.montecarlo.BLOCK_ELEMENTS // p**2)
-    gram = num = None
+    gram = np.cumsum(L[:, :, None] * L[:, None, :], axis=0)
+    num = np.cumsum(L * x[1:, None], axis=0)
+    rows = max(1, ardw.montecarlo.BLOCK_ELEMENTS // (2 * p * (p + 1)))
     for a in range(0, len(L), rows):
-        Lb = L[a:a + rows]
-        gram = _running_sum(Lb[:, :, None] * Lb[:, None, :], gram)
-        num = _running_sum(Lb * x[a + 1:a + 1 + len(Lb), None], num)
-        s = max(0, start - 1 - a)
-        if s < len(Lb):
-            g = gram[s:]
+        s = max(a, start - 1)
+        if s < min(a + rows, len(L)):
+            g, b = gram[s:a + rows], num[s:a + rows]
             if p == 1 and g.all():
-                theta = num[s:] / g[:, 0]
+                theta = b / g[:, 0]
             else:
-                theta = np.linalg.solve(g, num[s:, :, None])[..., 0]
-            yield a + 1 + s, theta
+                theta = np.linalg.solve(g, b[:, :, None])[..., 0]
+            yield s + 1, theta
 
 
 def gesv_stages(a, b):
@@ -68,16 +67,14 @@ def gesv_stages(a, b):
     return out
 
 
-def lu_stages(a, b, spare_stages=0):
+def lu_stages(a, b):
     """_lu_solve of the stacked symmetric systems a x = b, given their upper
-    triangles as _theta_hat_blocks gives them, in a workspace of
-    spare_stages more stages: the bytes of each stage's solution, or None
-    where it declines the block."""
+    triangles as _theta_hat_blocks gives them: the bytes of each stage's
+    solution, or None where it declines the block."""
     m, p = b.shape
     out = np.empty((m, p))
-    work = np.empty((2 * p + 2, p, m + spare_stages))
     rows, cols = np.triu_indices(p)
-    solved = _lu_solve(work, a[:, rows, cols], b, out)
+    solved = _lu_solve(a[:, rows, cols], b, out)
     return [row.tobytes() for row in out] if solved else None
 
 
@@ -321,7 +318,7 @@ class TestCltDiagnostic:
 
 
     @pytest.mark.parametrize("seed, message", [
-        (-1, "expected non-negative integer"),
+        (-1, "seed must be >= 0, got -1"),
         (True, "seed must be an integer, got True"),
         (1.5, "seed must be an integer, got 1.5"),
         ((1, 2), "seed must be an integer, got (1, 2)"),
@@ -357,12 +354,12 @@ class TestRateDiagnostic:
         assert [row["n"] for row in report["checkpoints"]] == [61]
 
     def test_theta_hat_path_matches_full_fits(self, monkeypatch):
-        # blocks of 2**7 // p**2 = 32 stages put stages 50, 120 and 200 in
-        # three blocks
-        monkeypatch.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", 2**7)
+        # blocks of 2**9 // (2p (p+1)) = 42 stages at p = 2 put stages 50,
+        # 120 and 200 in three blocks
+        monkeypatch.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", 2**9)
         traj = ardw.simulate(params([0.4, -0.3], 0.2), 200, seed=6)
         blocks = list(_theta_hat_blocks(traj.x, 2, start=50))
-        assert [k0 for k0, _ in blocks] == [50, 65, 97, 129, 161, 193]
+        assert [k0 for k0, _ in blocks] == [50, 85, 127, 169]
         theta = np.concatenate([t for _, t in blocks])
         assert theta.shape == (151, 2)
         for k in (50, 120, 200):
@@ -456,23 +453,28 @@ class TestRateDiagnostic:
 
     @given(st.integers(0, 2**32), st.integers(1, 5),
            st.sampled_from(["dense", "gram", "ties", "tied_lags", "zeros"]),
-           st.sampled_from([1e-160, 1.0, 1e140, 1e154]), st.integers(1, 40), st.integers(0, 3))
-    @example(7, 3, "ties", 1.0, 40, 0)  # equal |c_i|: the first is the pivot
-    @example(8, 5, "dense", 1.0, 40, 3)  # 4- and 5-term fused chains
-    @example(9, 2, "gram", 1e-160, 10, 0)  # subnormal pivots: declined
-    @example(10, 4, "zeros", 1.0, 40, 1)  # zero products and -0.0 entries
-    def test_lu_solve_has_the_bits_of_gesv(self, seed, p, family, scale, m, spare):
+           st.sampled_from([1e-160, 1.0, 1e140, 1e154]), st.integers(1, 40))
+    @example(7, 3, "ties", 1.0, 40)  # equal |c_i|: the first is the pivot
+    @example(8, 5, "dense", 1.0, 40)  # 4- and 5-term fused chains
+    @example(9, 2, "gram", 1e-160, 10)  # subnormal pivots: declined
+    @example(10, 4, "zeros", 1.0, 40)  # zero products and -0.0 entries
+    def test_lu_solve_has_the_bits_of_gesv(self, seed, p, family, scale, m):
         # _lu_solve declines a block if it declines any of its stages alone
         # (the block then goes to np.linalg.solve), and it takes every block
         # of finite systems well inside the normal range. The stages it
         # takes, as one block, have the bytes LAPACK's gesv gives each alone
         a, b = stage_systems(family, np.random.default_rng(seed), p, m, scale)
         kept = [i for i in range(m) if lu_stages(a[i:i + 1], b[i:i + 1]) is not None]
-        assert (lu_stages(a, b, spare) is None) == (len(kept) < m)
+        assert (lu_stages(a, b) is None) == (len(kept) < m)
         if family in ("dense", "gram") and scale in (1.0, 1e140):
             assert len(kept) == m
         if kept:
-            assert lu_stages(a[kept], b[kept], spare) == gesv_stages(a[kept], b[kept])
+            assert lu_stages(a[kept], b[kept]) == gesv_stages(a[kept], b[kept])
+
+    def test_lu_solve_declines_past_p5(self):
+        # from p = 6 every block goes to np.linalg.solve
+        a, b = stage_systems("dense", np.random.default_rng(11), 6, 3, 1.0)
+        assert lu_stages(a, b) is None
 
     @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3], [0.3, -0.2, 0.25],
                                        [0.3, -0.2, 0.1, 0.15], [0.1] * 5, [0.1] * 6],
@@ -487,13 +489,13 @@ class TestRateDiagnostic:
     @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(51, 5000),
            st.integers(0, 2**32), st.integers(1, 60))
     @example(0, 1, 1000, 1, 1)  # every stage is a block, and so every checkpoint
-    @example(0, 1, 2000, 2, 7)  # a block starts at stage start = 50
-    @example(0, 1, 2000, 3, 5)  # a block ends at stage start = 50
-    @example(0, 4, 51, 0, 1)  # a one-stage workspace: 4-term dots of strided rows
+    @example(0, 1, 2000, 2, 28)  # a block starts at stage start = 50
+    @example(0, 1, 2000, 3, 20)  # a block ends at stage start = 50
+    @example(0, 4, 51, 0, 1)  # one-stage blocks: 4-term dots of strided rows
     def test_block_cap_leaves_report_unchanged(self, pseed, p, n_max, seed, small):
-        # blocks hold cap // p**2 stages and start = 50 for p <= 5: the caps
-        # put block boundaries before, at and after it, among the
-        # checkpoints, or none at all
+        # blocks hold cap // (2p (p+1)) stages, at least one, and start = 50
+        # for p <= 5: the caps put block boundaries before, at and after it,
+        # among the checkpoints, or none at all
         prm = random_stable_params(np.random.default_rng(pseed), p)
         texts = set()
         with pytest.MonkeyPatch.context() as mp:
@@ -503,10 +505,11 @@ class TestRateDiagnostic:
         assert len(texts) == 1
 
     def test_memory_grows_by_the_path_and_its_lags(self):
-        # per extra step at p = 3: 19.0 bytes. The lags are slices of the
-        # path itself. The peak is the path and one block's arrays, which do
-        # not grow with n, at n = 100 000, and simulate's x, eps and v (24
-        # bytes a step) at n = 200 000; a lag matrix would add 8p
+        # per extra step at p = 3: 24.0 bytes. The lags are slices of the
+        # path itself, and one block's arrays, which do not grow with n, stay
+        # below simulate's x, eps and v (24 bytes a step): both peaks are
+        # those three arrays. A padded copy of the path would add 8 bytes a
+        # step, a lag matrix 8p
         prm = DEFAULT_SUITE[4]
         ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
         peaks = []
@@ -517,7 +520,7 @@ class TestRateDiagnostic:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 28 * 100_000
+        assert peaks[1] - peaks[0] <= 26 * 100_000
 
     @pytest.mark.parametrize("pid, sigma2, digest", [
         (3, 1e250, "b9f2800f34bd203c5576b30e5d84b7f32fed75b7b600d1dfc322b3f1f30e6432"),
