@@ -2,19 +2,10 @@
 driven by AR(1) noise: closed-form limits, least squares estimation,
 serial-correlation tests and Monte-Carlo studies."""
 
+import importlib
 import types
 
 from .errors import ArdwError
-from .estimators import (
-    FitResult,
-    dw_statistic,
-    fit,
-    ols_rho,
-    ols_theta,
-    read_series,
-    residuals,
-    yule_walker_fit,
-)
 from .limit_theory import (
     LimitSummary,
     ModelParams,
@@ -28,29 +19,37 @@ from .limit_theory import (
     solve_lambda,
     toeplitz_delta,
 )
-from .montecarlo import (
-    DEFAULT_SUITE,
-    PowerTable,
-    StudyConfig,
-    clt_diagnostic,
-    rate_diagnostic,
-    size_power_study,
-)
-from .serial_tests import (
-    TestOutcome,
-    chi2_quantile,
-    chi2_sf,
-    durbin_h_test,
-    dw_chi2_test,
-    normal_quantile,
-    normal_sf,
-    outcomes_to_csv,
-    run_tests,
-)
+
+# bound here, after the submodule loads, so that ardw.simulate is the function
 from .simulate import NoiseSpec, Trajectory, simulate
 
 __version__ = "0.1.0"
 
-# every public name imported above, and no submodule
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, types.ModuleType))
+# the public names of the modules that load on the first use of one of them
+_DEFERRED = {
+    "estimators": ("FitResult", "dw_statistic", "fit", "ols_rho", "ols_theta",
+                   "read_series", "residuals", "yule_walker_fit"),
+    "montecarlo": ("DEFAULT_SUITE", "PowerTable", "StudyConfig", "clt_diagnostic",
+                   "rate_diagnostic", "size_power_study"),
+    "serial_tests": ("TestOutcome", "chi2_quantile", "chi2_sf", "durbin_h_test",
+                     "dw_chi2_test", "normal_quantile", "normal_sf", "outcomes_to_csv",
+                     "run_tests"),
+}
+
+# every public name, and no submodule
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+                 + [name for names in _DEFERRED.values() for name in names])
+
+
+def __getattr__(name):
+    if name in _DEFERRED:
+        return importlib.import_module(f"{__name__}.{name}")
+    for module, names in _DEFERRED.items():
+        if name in names:
+            return getattr(__getattr__(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -20,15 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArdwError
-from .estimators import fit, read_series
 from .limit_theory import ModelParams, limit_summary
-from .montecarlo import (
-    StudyConfig,
-    clt_diagnostic,
-    rate_diagnostic,
-    size_power_study,
-)
-from .serial_tests import TEST_NAMES, outcomes_to_csv, run_tests
 from .simulate import _FAMILIES, NoiseSpec, simulate
 from .text import json_text
 
@@ -107,15 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _result_text(args) -> str:
     """The text of a command's result: a JSON document, one JSON line per test
-    outcome, or CSV."""
+    outcome, or CSV. Each command imports only the modules it runs."""
     if args.command == "limits":
         params = _params_from_args(args)
         if args.p is not None and args.p != params.p:
             raise ValueError("p does not match theta length")
         return json_text(limit_summary(params).to_dict())
+    if args.command in ("fit", "test"):
+        from .estimators import fit, read_series
     if args.command == "fit":
         return json_text(fit(read_series(args.input), args.p).to_dict())
     if args.command == "test":
+        from .serial_tests import TEST_NAMES, outcomes_to_csv, run_tests
+
         x = read_series(args.input)
         names = TEST_NAMES if args.tests == "all" else tuple(args.tests.split(","))
         outcomes = run_tests(x, fit(x, args.p), level=args.level, names=names)
@@ -124,6 +120,8 @@ def _result_text(args) -> str:
         if args.output is None:
             raise ValueError("--output required for csv")
         return outcomes_to_csv(outcomes)
+    from .montecarlo import StudyConfig, clt_diagnostic, rate_diagnostic, size_power_study
+
     if args.command == "power":
         config = StudyConfig.from_json(args.config)
         table = size_power_study(config, workers=args.workers)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -156,6 +155,7 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     totals = {cell: Counter() for cell in cells}
     if workers > 1:
         _linear_filter()  # loaded once here, not in each forked worker
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing, for pools only
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
         results = (pool.map if pool else map)(_run_chunk, chunks)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from .estimators import (
 )
 from .limit_theory import _check_real
 from .text import csv_text, record_dict
-
-_STANDARD_NORMAL = NormalDist()
 
 _math_erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -57,7 +54,9 @@ def normal_quantile(q: float) -> float:
     """Standard normal (q)-quantile."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
-    return _STANDARD_NORMAL.inv_cdf(q)
+    from statistics import NormalDist  # fractions and decimal, on first use only
+
+    return NormalDist().inv_cdf(q)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 (R, n+1) block of series) against its one-series case, row by row and bit
 for bit, and the errors each row keeps."""
 
+import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -157,7 +158,7 @@ def test_study_counts_equal_one_series_for_any_worker_count(seed, noise, burn_in
     expected = one_series_counts(config)
     tables = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ardw.montecarlo, "ProcessPoolExecutor", InProcessPool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", block)
         mp.setattr(ardw.montecarlo.os, "cpu_count", lambda: 3)
         for workers in (1, 2, 3):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -139,7 +140,7 @@ def serial_pool(monkeypatch) -> list:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ardw.montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -539,8 +540,9 @@ class TestRateDiagnostic:
 
     def test_peak_is_the_simulated_path(self):
         # in path lengths of 8(n+1) bytes, at p = 3: simulate's x, eps and v
-        # read 3.009. The path with a padded copy of it read 3.32, and a lag
-        # matrix and (rows, p, p) Gram products 5.36.
+        # read 3.009, and a lag matrix and (rows, p, p) Gram products 5.36. A
+        # padded copy of the path, made once simulate has returned and freed
+        # eps and v, also reads 3.009: test_stage_loop_peak_is_one_block bounds it
         prm, n = DEFAULT_SUITE[4], 200_000
         ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
         tracemalloc.start()
@@ -550,6 +552,30 @@ class TestRateDiagnostic:
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * 8 * (n + 1)
+
+    @pytest.mark.parametrize("n", [100_000, 200_000])
+    def test_stage_loop_peak_is_one_block(self, monkeypatch, n):
+        # what rate_diagnostic holds beyond its path once the path exists, in
+        # blocks of BLOCK_ELEMENTS doubles at p = 3, read 2.30 and 2.27 at
+        # these n: it does not grow with n. A padded copy of the path (8 bytes
+        # a step) read 3.82 and 5.32
+        prm, base = DEFAULT_SUITE[4], []
+        path = ardw.simulate(prm, n, seed=1)
+
+        def simulated(*args, **kwargs):
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return path
+
+        ardw.rate_diagnostic(prm, 1000)  # loads the filter kernel before tracing
+        monkeypatch.setattr(ardw.montecarlo, "simulate", simulated)
+        tracemalloc.start()
+        try:
+            ardw.rate_diagnostic(prm, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base[0] <= 2.6 * 8 * ardw.montecarlo.BLOCK_ELEMENTS
 
     def test_qsl_and_lil_behave(self):
         # single-path fluctuations of the log-averaged outer product are
