@@ -154,7 +154,7 @@ def run(argv: list[str] | None = None) -> int:
             _emit(_result_text(args), getattr(args, "output", None))
     except SystemExit:  # --help; every parse error raises ValueError
         return 0
-    except (ArdwError, OSError, ValueError) as exc:
+    except (ArdwError, MemoryError, OSError, ValueError) as exc:
         sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)},
                                    indent=None))
         return 3 if isinstance(exc, ArdwError) else 2

@@ -51,7 +51,8 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_integer("p", self.p))
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
+        theta = np.array(self.theta, dtype=float, ndmin=1)  # a copy of its own, read-only
+        theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         for name in ("rho", "sigma2"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
@@ -177,13 +178,9 @@ def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
 
 def companion_matrix(params: ModelParams) -> np.ndarray:
     """Companion form of the combined (p+1)-order recursion on the observations."""
-    return _companion(beta_vector(params), params.theta[-1] * params.rho, params.p)
-
-
-def _companion(beta: np.ndarray, tail: float, p: int) -> np.ndarray:
-    C = np.eye(p + 1, k=-1)
-    C[0, :p] = beta
-    C[0, p] = -tail
+    C = np.eye(params.p + 1, k=-1)
+    C[0, :-1] = beta_vector(params)
+    C[0, -1] = -(params.theta[-1] * params.rho)
     return C
 
 
@@ -235,7 +232,6 @@ class LimitSummary:
     Gamma: np.ndarray
     sigma2_rho: float
     sigma2_D: float
-    C_A: np.ndarray
     gamma_singular: bool
 
     @property
@@ -243,11 +239,16 @@ class LimitSummary:
         """Condition number of the autocovariance system matrix."""
         return np.linalg.cond(self.B)
 
+    @property
+    def C_A(self) -> np.ndarray:
+        """Companion matrix of the combined recursion (companion_matrix)."""
+        return companion_matrix(self.params)
+
     def to_dict(self) -> dict:
         """JSON-ready representation: p, theta and rho, then every field but
         the intermediate matrices."""
         return {**record_dict(self.params, drop=("sigma2",)),
-                **record_dict(self, drop=("params", "B", "Delta_p", "Delta_p1", "P", "C_A"))}
+                **record_dict(self, drop=("params", "B", "Delta_p", "Delta_p1", "P"))}
 
 
 def limit_summary(params: ModelParams) -> LimitSummary:
@@ -301,7 +302,6 @@ def limit_summary(params: ModelParams) -> LimitSummary:
             f"two serial-correlation variance routes disagree (rel {rel:.3g})"
         )
 
-    C_A = _companion(beta, tpr, p)
     return LimitSummary(
         params=params,
         alpha=alpha,
@@ -318,6 +318,5 @@ def limit_summary(params: ModelParams) -> LimitSummary:
         Gamma=Gamma,
         sigma2_rho=sigma2_rho,
         sigma2_D=4.0 * sigma2_rho,
-        C_A=C_A,
         gamma_singular=bool(abs(theta_star[-1]) < THETA_STAR_P_SINGULARITY_TOL),
     )

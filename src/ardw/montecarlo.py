@@ -51,7 +51,10 @@ class StudyConfig:
 
     def __post_init__(self):
         for name in ("params_list", "n_list", "tests"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for name, low in (("reps", 100), ("master_seed", 0), ("burn_in", 0)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         object.__setattr__(self, "n_list", tuple(_check_integer("n", n) for n in self.n_list))
@@ -103,15 +106,15 @@ class PowerTable:
 BLOCK_ELEMENTS = 2**16
 
 
-def _replicate(params, n, noise, seeds, burn_in=0, level=0.05, names=()):
-    """Simulate, fit and test the path of each seed in turn, in blocks of at
-    most BLOCK_ELEMENTS // n rows; yields per block the fits, their errors
-    and, per test name, the masks (reject, inapplicable) of `outcome_masks`.
-    The arguments are those of simulate, already checked: the seeds are
-    tuples of ints."""
+def _replicate(params, n, noise, prefix, reps, burn_in=0, level=0.05, names=()):
+    """Simulate, fit and test the path of seed (*prefix, rep) for each rep in
+    the range reps, in blocks of at most BLOCK_ELEMENTS // n rows; yields per
+    block the fits, their errors and, per test name, the masks (reject,
+    inapplicable) of `outcome_masks`. Arguments are checked; prefix holds ints."""
     rows = max(1, BLOCK_ELEMENTS // n)
-    for start in range(0, len(seeds), rows):
-        x = _paths(params, n, noise, seeds[start:start + rows], burn_in)[0]
+    for start in range(0, len(reps), rows):
+        seeds = [(*prefix, rep) for rep in reps[start:start + rows]]
+        x = _paths(params, n, noise, seeds, burn_in)[0]
         errors = RowErrors(len(x))
         fits = fit(x, params.p, errors)
         yield fits, errors, outcome_masks(x, fits, errors.failed, level, names)
@@ -120,11 +123,11 @@ def _replicate(params, n, noise, seeds, burn_in=0, level=0.05, names=()):
 def _run_chunk(args) -> Counter:
     """Counts keyed (test name, "reject" | "inapplicable") over a range of
     replications of one (params, n) cell."""
-    config, params_id, n, rep_range = args
-    seeds = [(config.master_seed, params_id, n, rep) for rep in rep_range]
+    config, params_id, n, reps = args
     counts = Counter()
-    for _, _, tests in _replicate(config.params_list[params_id], n, config.noise, seeds,
-                               config.burn_in, config.level, config.tests):
+    for _, _, tests in _replicate(config.params_list[params_id], n, config.noise,
+                                  (config.master_seed, params_id, n), reps,
+                                  config.burn_in, config.level, config.tests):
         for name, (reject, inapplicable) in tests.items():
             counts[name, "reject"] += int(reject.sum())
             counts[name, "inapplicable"] += int(inapplicable.sum())
@@ -193,8 +196,7 @@ def clt_diagnostic(
     _check_length(params, n)
     seed = _check_integer("seed", seed, 0)
     kept, first = [], None
-    seeds = [(seed, rep) for rep in range(reps)]
-    for fits, errors, _ in _replicate(params, n, noise, seeds):
+    for fits, errors, _ in _replicate(params, n, noise, (seed,), range(reps)):
         ok = ~errors.failed
         kept.append((fits.theta_hat[ok], fits.rho_hat[ok], fits.dw[ok]))
         if first is None and not ok.all():
@@ -203,7 +205,6 @@ def clt_diagnostic(
     if len(dw) < 2:
         raise ArdwError(f"kept {len(dw)} of {reps} fits, need 2; first failure: "
                         f"{type(first).__name__}: {first}")
-    errs = np.sqrt(n) * np.column_stack([theta - limits.theta_star, rho - limits.rho_star])
     dw_errs = np.sqrt(n) * (dw - limits.d_star)
 
     report = {
@@ -220,6 +221,7 @@ def clt_diagnostic(
     if limits.gamma_singular:
         report["rel_frobenius_joint"] = float("nan")
     else:
+        errs = np.sqrt(n) * np.column_stack([theta - limits.theta_star, rho - limits.rho_star])
         emp = np.cov(errs, rowvar=False)
         report["empirical_gamma"] = emp.tolist()
         report["gamma"] = limits.Gamma.tolist()
@@ -350,9 +352,9 @@ def rate_diagnostic(
         raise ValueError(f"n_max must be > the first estimation stage {start}, "
                          f"got {n_max}")
     limits = limit_summary(params)
+    x = simulate(params, n_max, noise=noise, seed=seed).x  # an impossible n_max raises here
     grid = np.unique(np.geomspace(min(1000, n_max), n_max, 8).astype(int))
     checkpoints = [cp for cp in grid.tolist() if cp > start]
-    x = simulate(params, n_max, noise=noise, seed=seed).x
     p = params.p
     # the error and the running sum of its outer products, read at each
     # checkpoint as its block passes. The sum covers the upper triangle

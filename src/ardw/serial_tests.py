@@ -74,14 +74,6 @@ class TestOutcome:
         return record_dict(self)
 
 
-def _outcome(name, stat, pval, level, warns=()) -> TestOutcome:
-    pval = min(max(pval, 0.0), 1.0)
-    return TestOutcome(
-        name=name, statistic=float(stat), p_value=float(pval), level=float(level),
-        reject=bool(pval < level), warnings=tuple(warns),
-    )
-
-
 # Each test below works on one series or on each row of a block, as the
 # estimators do: it returns the statistic, the p-value and, per advisory
 # note, the mask of the rows it flags, and adds each row's error to `errors`.
@@ -187,9 +179,11 @@ def _one(name: str, level: float, x, fit: FitResult, errors: RowErrors = SERIES)
     inapplicable with the error's type."""
     stat, p_value, notes = _TESTS[name](x, fit, errors)
     if errors.failed:
-        return _outcome(name, math.nan, math.nan, level,
-                        ("inapplicable", type(errors.error(())).__name__))
-    return _outcome(name, stat, p_value, level, [note for note, on in notes if on])
+        stat = p_value = math.nan
+        warns = ("inapplicable", type(errors.error(())).__name__)
+    else:
+        warns = tuple(note for note, on in notes if on)
+    return TestOutcome(name, float(stat), float(p_value), level, bool(p_value < level), warns)
 
 
 def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:

@@ -45,6 +45,8 @@ class NoiseSpec:
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 < self.sigma2 < np.inf):
             raise ValueError("sigma2 must be finite and > 0")
+        if self.family == "uniform" and not np.isfinite(np.sqrt(3.0 * self.sigma2)):
+            raise ValueError(f"uniform noise needs sqrt(3 sigma2) finite, got {self.sigma2}")
         if not np.isfinite(self.df):
             raise ValueError("df must be finite")
         if self.family == "student_t" and not (self.df > 4.0):

@@ -180,8 +180,10 @@ class TestErrorPaths:
         [(["--burn-in", "-5"], "burn_in"),
          (["--burn-in", "-1"], "burn_in must be >= 0, got -1"),
          (["--sigma2", "inf"], "finite"),
-         (["--noise", "student_t", "--df", "inf"], "df must be finite")],
-        ids=["burn_in_negative", "burn_in_minus_one", "sigma2_inf", "df_inf"],
+         (["--noise", "student_t", "--df", "inf"], "df must be finite"),
+         (["--noise", "uniform", "--sigma2", "1e308"], "sqrt(3 sigma2) finite")],
+        ids=["burn_in_negative", "burn_in_minus_one", "sigma2_inf", "df_inf",
+             "uniform_sigma2_overflows"],
     )
     def test_bad_simulate_input_exit_2(self, tmp_path, capsys, extra, message):
         csv = tmp_path / "traj.csv"
@@ -189,6 +191,21 @@ class TestErrorPaths:
                     "--output", str(csv), *extra]) == 2
         assert message in json.loads(capsys.readouterr().err)["message"]
         assert not csv.exists()
+
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
+        # injected: a real allocation of this size would take the host's memory
+        def draw(self, rng, size):
+            raise MemoryError(f"Unable to allocate an array with shape {size}")
+
+        monkeypatch.setattr(ardw.NoiseSpec, "draw", draw)
+        csv = tmp_path / "traj.csv"
+        assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "100000000000",
+                    "--output", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not csv.exists()
+        assert json.loads(captured.err) == {
+            "error": "MemoryError",
+            "message": "Unable to allocate an array with shape (1, 100000000001)"}
 
     def test_level_outside_unit_interval_exit_2(self, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
@@ -262,7 +279,12 @@ class TestPowerCommand:
          ({"params_list": [{"p": 1, "theta": [0.5], "rho": "0.3"}]},
           "rho must be a real number, got '0.3'"),
          ({"level": "0.05"}, "level must be a real number, got '0.05'"),
-         ({"level": 2}, "level must be in (0, 1), got 2.0")],
+         ({"level": 2}, "level must be in (0, 1), got 2.0"),
+         ({"tests": "dw_chi2"}, "tests must be a list, got 'dw_chi2'"),
+         ({"tests": ""}, "tests must be a list, got ''"),
+         ({"n_list": ""}, "n_list must be a list, got ''"),
+         ({"n_list": 100}, "n_list must be a list, got 100"),
+         ({"noise": {"family": "uniform", "sigma2": 1e308}}, "sqrt(3 sigma2) finite")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "reps_below_100",
@@ -270,7 +292,8 @@ class TestPowerCommand:
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
              "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key",
              "p_bool", "p_float", "p_string", "rho_string", "level_string",
-             "level_out_of_range"],
+             "level_out_of_range", "tests_string", "tests_empty_string",
+             "n_list_empty_string", "n_list_int", "noise_uniform_sigma2_overflows"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],
@@ -334,6 +357,15 @@ class TestDiagnoseCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_max"] == 5000
         assert report["checkpoints"]
+
+    @pytest.mark.parametrize("n", [str(2**62), str(2**63), str(2**64)])
+    def test_rate_impossible_length_exit_2(self, capsys, n):
+        # numpy refuses these sizes before it allocates anything
+        assert run(["diagnose", "--kind", "rate", "--theta", "0.5", "--rho", "0.2",
+                    "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
     @pytest.mark.parametrize("n", ["30", "50"])
     def test_rate_not_past_first_stage_exit_2(self, capsys, n):

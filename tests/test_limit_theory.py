@@ -66,9 +66,12 @@ class TestStability:
             ([0.5], 0.3, 1.0, ValueError, True),
             ([0.5], 0.3, 1.0, ValueError, 1.5),
             ([0.5], 0.3, 1.0, ValueError, "1"),
+            ([0.5], 0.3, 1.0, ValueError, 2),
+            ([[0.5]], 0.3, 1.0, ValueError, None),
         ],
         ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan",
-             "inf_variance", "p_bool", "p_float", "p_string"],
+             "inf_variance", "p_bool", "p_float", "p_string", "theta_shorter_than_p",
+             "theta_matrix"],
     )
     def test_construction_enforces_region(self, theta, rho, sigma2, error, p):
         p = len(theta) if p is None else p
@@ -92,6 +95,15 @@ class TestStability:
         prm = ardw.ModelParams(p=1, theta=[0.5], rho=np.float32(0.25), sigma2=np.int64(2))
         assert (prm.rho, prm.sigma2) == (0.25, 2.0)
         assert type(prm.rho) is float and type(prm.sigma2) is float
+
+    def test_theta_is_a_read_only_copy(self):
+        th = np.array([0.5])
+        prm = ardw.ModelParams(1, th, 0.2)
+        th[0] = 1.5
+        assert prm.theta.tolist() == [0.5]
+        ardw.limit_summary(prm)
+        with pytest.raises(ValueError, match="read-only"):
+            prm.theta[0] = 1.5
 
 
 class TestBetaAlpha:
@@ -179,6 +191,13 @@ class TestLambda:
             prm = random_stable_params(rng)
             assert ardw.solve_lambda(ardw.build_B(prm))[0] > 0.0
 
+    def test_ill_conditioned_system_warns(self):
+        # cond(B) ~ 2.66e12: past the warning threshold, short of singular
+        B = ardw.build_B(params([0.999999999999], 0.0))
+        with pytest.warns(RuntimeWarning, match=r"ill-conditioned \(cond ~ 2.66e\+12\)"):
+            lam = ardw.solve_lambda(B)
+        assert np.isfinite(lam).all()
+
 
 class TestToeplitz:
     def test_scalar_case(self):
@@ -201,6 +220,10 @@ class TestToeplitz:
     def test_inconsistent_lambda_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             ardw.toeplitz_delta(np.array([1.0, 2.0]), 2)
+
+    def test_order_beyond_lambda_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 autocovariance values, got 2"):
+            ardw.toeplitz_delta(np.array([2.0, 0.5]), 3)
 
 
 class TestCompanion:
@@ -226,6 +249,11 @@ class TestLyapunovOracle:
     def test_ar1_closed_form(self):
         lam = ardw.lyapunov_lambda_oracle(params([0.5], 0.0), 2)
         assert lam == pytest.approx([4.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0], rel=1e-12)
+
+    @pytest.mark.parametrize("theta, max_lag", [([0.5], 1), ([0.4, -0.3], 2)])
+    def test_max_lag_below_p_plus_1_rejected(self, theta, max_lag):
+        with pytest.raises(ValueError, match=f"max_lag must be >= p\\+1 = {len(theta) + 1}"):
+            ardw.lyapunov_lambda_oracle(params(theta, 0.2), max_lag)
 
     def test_sigma2_free(self):
         a = ardw.lyapunov_lambda_oracle(params([0.4, -0.3], 0.2, sigma2=1.0), 3)
@@ -381,6 +409,12 @@ class TestLimitSummary:
         for a in _order_arrays(m):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+    def test_companion_matrix_is_derived_on_access(self):
+        prm = params([0.4, -0.3, 0.2], 0.3)
+        s = ardw.limit_summary(prm)
+        assert "C_A" not in vars(s) and "C_A" not in s.to_dict()
+        assert s.C_A.tobytes() == ardw.companion_matrix(prm).tobytes()
 
     def test_gamma_singular_flag(self):
         # theta* last component vanishes exactly when theta = -rho at order 1

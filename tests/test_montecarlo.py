@@ -166,6 +166,17 @@ class TestStudyConfig:
             small_config(params_list=(params([0.5], 0.0), params([0.4, -0.3], 0.0)),
                          n_list=n_list)
 
+    @pytest.mark.parametrize("name, value", [
+        ("tests", "dw_chi2"), ("n_list", 100), ("params_list", params([0.5], 0.0)),
+    ], ids=["tests_name", "n_list_int", "params_list_one"])
+    def test_lists_must_be_non_string_iterables(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a list, got "):
+            small_config(**{name: value})
+
+    def test_empty_lists_allowed(self):
+        cfg = small_config(params_list=[], n_list=[], tests=iter(()))
+        assert (cfg.params_list, cfg.n_list, cfg.tests) == ((), (), ())
+
     def test_from_json(self, tmp_path):
         raw = {
             "params_list": [
@@ -211,6 +222,13 @@ class TestSizePowerStudy:
         r = table.rate(0, 500, "dw_chi2")
         stderr = np.sqrt(0.05 * 0.95 / 400)
         assert abs(r - 0.05) <= 4.0 * stderr
+
+    def test_rate_of_a_missing_cell_raises_key_error(self):
+        table = ardw.PowerTable(rows=({"params_id": 0, "n": 100, "test_name": "dw_chi2",
+                                       "rejection_rate": 0.25},))
+        assert table.rate(0, 100, "dw_chi2") == 0.25
+        with pytest.raises(KeyError, match=r"\(0, 100, 'durbin_h'\)"):
+            table.rate(0, 100, "durbin_h")
 
     def test_power_exceeds_size(self):
         cfg = small_config(n_list=(500,), reps=300)
@@ -349,6 +367,15 @@ class TestRateDiagnostic:
     def test_path_not_past_first_stage_rejected(self, theta, n_max):
         with pytest.raises(ValueError, match="first estimation stage"):
             ardw.rate_diagnostic(params(theta, 0.0), n_max=n_max)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_max", [2**62, 2**63, 2**64])
+    def test_impossible_path_length_is_numpys_value_error(self, n_max):
+        # numpy refuses these sizes before it allocates anything, and before
+        # the checkpoint grid: its float cast of n_max >= 2**63 warns, and
+        # its log10 of n_max >= 2**64 raises TypeError
+        with pytest.raises(ValueError, match="array is too big|Maximum allowed dimension"):
+            ardw.rate_diagnostic(params([0.5], 0.0), n_max=n_max)
 
     def test_one_step_past_first_stage(self):
         report = ardw.rate_diagnostic(params([0.1] * 6, 0.0), n_max=61)

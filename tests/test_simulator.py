@@ -169,6 +169,13 @@ class TestNoiseSpec:
         v = NoiseSpec(family="rademacher", sigma2=4.0).draw(derive_rng(0), 1000)
         assert set(np.unique(v)) == {-2.0, 2.0}
 
+    def test_uniform_half_width_must_be_finite(self):
+        # sqrt(3 sigma2) is the half-width of the uniform support
+        with pytest.raises(ValueError, match=r"uniform noise needs sqrt\(3 sigma2\) finite"):
+            NoiseSpec(family="uniform", sigma2=1e308)
+        for noise in (NoiseSpec(sigma2=1e308), NoiseSpec(family="uniform", sigma2=5e307)):
+            assert np.isfinite(noise.draw(derive_rng(0), 10)).all()
+
     def test_uniform_support(self):
         v = NoiseSpec(family="uniform", sigma2=3.0).draw(derive_rng(0), 100_000)
         assert np.max(np.abs(v)) <= 3.0
