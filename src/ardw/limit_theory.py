@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     BadVariance,
@@ -32,6 +33,20 @@ ILL_CONDITION_THRESHOLD = 1e12
 
 #: |theta*_p| below which the joint covariance matrix is flagged singular
 THETA_STAR_P_SINGULARITY_TOL = 1e-8
+
+# LAPACK through numpy.linalg's gufuncs, without its per-call wrappers, which
+# cost more than LAPACK does on matrices of order p + 2. The callers make the
+# wrappers' shape and finiteness checks themselves. A LAPACK failure fills the
+# result with NaN, and every threshold check below is written so NaN fails it.
+_svd = getattr(_umath_linalg, "svd", None) or _umath_linalg.svd_n  # svd_n on numpy 1.x
+_solve, _inv, _eigvalsh = _umath_linalg.solve1, _umath_linalg.inv, _umath_linalg.eigvalsh_lo
+
+
+def _cond(a: np.ndarray) -> float:
+    """2-norm condition number s_max / s_min, as np.linalg.cond gives it;
+    inf for a singular matrix, NaN if the SVD failed."""
+    s = _svd(a)
+    return s[0] / s[-1] if s[-1] != 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,18 @@ def _check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _check_array(name: str, a, ndim: int) -> np.ndarray:
+    """a as a float array; anything but a numpy array of ndim dimensions,
+    real and finite, raises ValueError."""
+    if not (isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype.kind in "iuf"):
+        got = f"shape {a.shape} {a.dtype}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise ValueError(f"{name} must be a {ndim}-D real array, got {got}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must contain only finite values")
+    return a
 
 
 def check_stability(params: ModelParams) -> None:
@@ -129,9 +156,16 @@ def build_B(params: ModelParams) -> np.ndarray:
 
 
 def solve_lambda(B: np.ndarray) -> np.ndarray:
-    """Solve B lam = e for the normalized autocovariance vector lam_0..lam_{p+1}."""
-    cond = np.linalg.cond(B)
-    if not np.isfinite(cond) or cond > 1.0 / np.finfo(float).eps:
+    """Solve B lam = e for the normalized autocovariance vector lam_0..lam_{p+1}.
+
+    B must be a finite, non-empty, square 2-D numpy array of reals; anything
+    else raises ValueError.
+    """
+    B = _check_array("B", B, 2)
+    if B.shape[0] != B.shape[1] or B.size == 0:
+        raise ValueError(f"B must be a non-empty square matrix, got shape {B.shape}")
+    cond = _cond(B)
+    if not cond <= 1.0 / np.finfo(float).eps:
         raise SingularB(f"system matrix numerically singular (cond ~ {cond:.3g})")
     if cond > ILL_CONDITION_THRESHOLD:
         warnings.warn(
@@ -139,9 +173,9 @@ def solve_lambda(B: np.ndarray) -> np.ndarray:
             RuntimeWarning,
         )
     e = _order_arrays(B.shape[0])[2]
-    lam = np.linalg.solve(B, e)
+    lam = _solve(B, e)
     resid = np.abs(B @ lam - e).max()  # the inf-norm
-    if resid > 1e-10 * max(np.abs(lam).max(), 1.0):
+    if not resid <= 1e-10 * max(np.abs(lam).max(), 1.0):
         raise SingularB(f"solve residual too large: {resid:.3g}")
     return lam
 
@@ -163,13 +197,16 @@ def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
     """Symmetric Toeplitz matrix of order m built from lam_0..lam_{m-1}.
 
     Positive definiteness is verified; failure signals an inconsistent
-    autocovariance vector upstream.
+    autocovariance vector upstream. lam must be a finite 1-D numpy array of
+    reals and m an integer >= 1; anything else raises ValueError.
     """
+    m = _check_integer("m", m, 1)
+    lam = _check_array("lam", lam, 1)
     if m > lam.shape[0]:
         raise ValueError(f"need at least {m} autocovariance values, got {lam.shape[0]}")
     delta = _symmetric_toeplitz(lam, m)
-    eigmin = np.linalg.eigvalsh(delta)[0]
-    if eigmin <= 0.0:
+    eigmin = _eigvalsh(delta)[0]
+    if not eigmin > 0.0:
         raise NotPositiveDefinite(
             f"Toeplitz autocovariance matrix has min eigenvalue {eigmin:.3g}"
         )
@@ -237,7 +274,7 @@ class LimitSummary:
     @property
     def cond_B(self) -> float:
         """Condition number of the autocovariance system matrix."""
-        return np.linalg.cond(self.B)
+        return _cond(self.B)
 
     @property
     def C_A(self) -> np.ndarray:
@@ -276,7 +313,7 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     rho_star = tpr * theta_star[-1]
     d_star = 2.0 * (1.0 - rho_star)
 
-    Delta_p_inv = np.linalg.inv(Delta_p)
+    Delta_p_inv = _inv(Delta_p)
     Sigma_theta = alpha**2 * (K @ Delta_p_inv @ K)
 
     P_B = alpha * (K @ Delta_p_inv)
@@ -297,7 +334,7 @@ def limit_summary(params: ModelParams) -> LimitSummary:
         + (theta_star[-1] / alpha) ** 2 * lam[0]
     )
     rel = abs(sigma2_rho - sigma2_rho_explicit) / max(abs(sigma2_rho), 1e-30)
-    if rel > 1e-9:
+    if not rel <= 1e-9:
         raise NotPositiveDefinite(
             f"two serial-correlation variance routes disagree (rel {rel:.3g})"
         )

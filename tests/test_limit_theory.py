@@ -1,9 +1,11 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 import ardw
+import ardw.limit_theory as lt
 from ardw.errors import (
     BadVariance,
     NotPositiveDefinite,
@@ -226,6 +228,45 @@ class TestToeplitz:
             ardw.toeplitz_delta(np.array([2.0, 0.5]), 3)
 
 
+@pytest.mark.parametrize("fn, args, match", [
+    ("solve_lambda", (np.ones((2, 3)),), r"B must be a non-empty square matrix, got shape \(2, 3\)"),
+    ("solve_lambda", (np.ones((0, 0)),), r"B must be a non-empty square matrix, got shape \(0, 0\)"),
+    ("solve_lambda", (np.ones(3),), r"B must be a 2-D real array, got shape \(3,\) float64"),
+    ("solve_lambda", ([[1.0, 0.0], [0.0, 1.0]],), "B must be a 2-D real array, got list"),
+    ("solve_lambda", (np.full((3, 3), np.nan),), "B must contain only finite values"),
+    ("toeplitz_delta", (np.array([2.0, 0.5]), 0), "m must be >= 1, got 0"),
+    ("toeplitz_delta", (np.array([2.0, 0.5]), -1), "m must be >= 1, got -1"),
+    ("toeplitz_delta", (np.array([2.0, 0.5]), 1.5), "m must be an integer, got 1.5"),
+    ("toeplitz_delta", (np.eye(2), 2), r"lam must be a 1-D real array, got shape \(2, 2\)"),
+    ("toeplitz_delta", (np.array([2.0, np.nan]), 2), "lam must contain only finite values"),
+], ids=["B_2x3", "B_empty", "B_1d", "B_list", "B_nan",
+        "m_0", "m_negative", "m_float", "lam_2d", "lam_nan"])
+def test_bad_input_raises_value_error_before_lapack(fn, args, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            getattr(ardw, fn)(*args)
+
+
+class TestGufuncs:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_each_has_the_bits_of_its_np_linalg_twin(self, m):
+        # a zero matrix has cond inf, with no warning from its zero singular value
+        rng = np.random.default_rng(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                general = rng.standard_normal((m, m))
+                spd = general @ general.T + 1e-3 * np.eye(m)
+                b = rng.standard_normal(m)
+                for a in (general, spd, np.outer(b, b), np.zeros((m, m))):
+                    assert np.float64(lt._cond(a)).tobytes() == np.linalg.cond(a).tobytes()
+                for a in (general, spd):
+                    assert lt._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+                    assert lt._inv(a).tobytes() == np.linalg.inv(a).tobytes()
+                assert lt._eigvalsh(spd).tobytes() == np.linalg.eigvalsh(spd).tobytes()
+
+
 class TestCompanion:
     def test_p1_rho_zero(self):
         C = ardw.companion_matrix(params([0.5], 0.0))
@@ -285,27 +326,46 @@ def yule_walker_rho(gamma):
     return np.append(theta, a @ gamma[abs(1 + j - i)] @ a / (a @ gamma[abs(i - j)] @ a))
 
 
+def assert_gamma_is_the_delta_method_of_bartletts_formula(prm, K=3000, h=1e-20):
+    # (theta_hat, rho_hat) = g(gamma_hat_0..gamma_hat_{p+1}) up to O(1/n),
+    # with g homogeneous of degree 0, so Gamma = G W G' (G the Jacobian of
+    # g at the true autocovariances, by complex step; W the second-order
+    # part of Bartlett's formula, summed over |k| <= K). The fourth-moment
+    # part of W drops out because G . gamma = 0 (Euler's identity).
+    m = prm.p + 2
+    lam = ardw.lyapunov_lambda_oracle(prm, K + m - 1)
+    full = np.concatenate((lam[:0:-1], lam))  # gamma_|k| at k + K + m - 1
+    k = np.arange(-K, K + 1) + K + m - 1
+    W = np.array([[full[k] @ full[k - i + j] + full[k + j] @ full[k - i]
+                   for j in range(m)] for i in range(m)])
+    G = np.array([yule_walker_rho(lam[:m] + h * 1j * e).imag / h
+                  for e in np.eye(m)]).T
+    s = ardw.limit_summary(prm)
+    assert np.abs(G @ W @ G.T - s.Gamma).max() <= 1e-7 * np.abs(s.Gamma).max(), prm
+    assert np.abs(G @ lam[:m]).max() <= 1e-9 * np.abs(G).max() * lam[0], prm
+    return s
+
+
 class TestGammaOracle:
     def test_gamma_is_the_delta_method_of_bartletts_formula(self):
-        # (theta_hat, rho_hat) = g(gamma_hat_0..gamma_hat_{p+1}) up to O(1/n),
-        # with g homogeneous of degree 0, so Gamma = G W G' (G the Jacobian of
-        # g at the true autocovariances, by complex step; W the second-order
-        # part of Bartlett's formula, summed over |k| <= K). The fourth-moment
-        # part of W drops out because G . gamma = 0 (Euler's identity).
-        rng, K, h = np.random.default_rng(11), 3000, 1e-20
+        rng = np.random.default_rng(11)
         for draw in range(200):
-            prm = random_stable_params(rng, draw % 5 + 1)
-            m = prm.p + 2
-            lam = ardw.lyapunov_lambda_oracle(prm, K + m - 1)
-            full = np.concatenate((lam[:0:-1], lam))  # gamma_|k| at k + K + m - 1
-            k = np.arange(-K, K + 1) + K + m - 1
-            W = np.array([[full[k] @ full[k - i + j] + full[k + j] @ full[k - i]
-                           for j in range(m)] for i in range(m)])
-            G = np.array([yule_walker_rho(lam[:m] + h * 1j * e).imag / h
-                          for e in np.eye(m)]).T
-            gamma = ardw.limit_summary(prm).Gamma
-            assert np.abs(G @ W @ G.T - gamma).max() <= 1e-7 * np.abs(gamma).max(), prm
-            assert np.abs(G @ lam[:m]).max() <= 1e-9 * np.abs(G).max() * lam[0], prm
+            assert_gamma_is_the_delta_method_of_bartletts_formula(
+                random_stable_params(rng, draw % 5 + 1))
+
+    @pytest.mark.parametrize("theta", [[0.5], [0.3, -0.4], [0.2, -0.3, 0.25]],
+                             ids=["p1", "p2", "p3"])
+    def test_on_gamma_singular_sets(self, theta):
+        # theta*_p = 0 exactly when rho = -theta at p = 1, and for p >= 2 when
+        # -theta_p rho^2 - (theta_{p-1} + theta_1 theta_p) rho + theta_p = 0,
+        # whose roots multiply to -1: one of them lies inside (-1, 1)
+        if len(theta) == 1:
+            rho = -theta[0]
+        else:
+            roots = np.roots([-theta[-1], -(theta[-2] + theta[0] * theta[-1]), theta[-1]])
+            (rho,) = roots[np.abs(roots) < 1.0].real
+        s = assert_gamma_is_the_delta_method_of_bartletts_formula(params(theta, rho))
+        assert s.gamma_singular
 
 
 class TestLimitSummary:
@@ -388,10 +448,11 @@ class TestLimitSummary:
                             counted("check_stability", ardw.check_stability))
         monkeypatch.setattr(ardw.limit_theory, "beta_vector",
                             counted("beta_vector", ardw.beta_vector))
-        for name in ("cond", "eigvalsh", "solve", "inv"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for name in ("svd", "eigvalsh", "solve", "inv"):
+            gufunc = getattr(ardw.limit_theory, f"_{name}")
+            monkeypatch.setattr(ardw.limit_theory, f"_{name}", counted(name, gufunc))
         ardw.limit_summary(prm)
-        assert sorted(calls) == ["beta_vector", "cond", "eigvalsh", "inv", "solve"]
+        assert sorted(calls) == ["beta_vector", "eigvalsh", "inv", "solve", "svd"]
 
     def test_returned_arrays_share_nothing_with_the_next_call(self):
         def snapshot(s):
