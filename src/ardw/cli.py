@@ -8,13 +8,15 @@ newline. Each result's text goes to the --output file when one is given and
 to stdout otherwise, so the file holds exactly the bytes the command would
 print. power --workers above the CPU count runs at the CPU count.
 Exit codes: 0 success, 2 usage error, 3 numerical/degeneracy error (with a
-machine-readable JSON payload on stderr).
+machine-readable JSON payload on stderr). Each advisory warning goes to
+stderr as one JSON line {"warning", "message"}, before any error payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,22 +145,26 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command == "simulate":
-            params = _params_from_args(args)
-            noise = NoiseSpec(family=args.noise, sigma2=args.sigma2, df=args.df)
-            simulate(params, args.n, noise=noise, seed=args.seed,
-                     burn_in=args.burn_in).to_csv(args.output)
-        else:
-            _emit(_result_text(args), getattr(args, "output", None))
-    except SystemExit:  # --help; every parse error raises ValueError
-        return 0
-    except (ArdwError, MemoryError, OSError, ValueError) as exc:
-        sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)},
-                                   indent=None))
-        return 3 if isinstance(exc, ArdwError) else 2
-    return 0
+    error = None
+    with warnings.catch_warnings(record=True) as caught:  # the filters stay as they are
+        try:
+            args = build_parser().parse_args(argv)
+            if args.command == "simulate":
+                params = _params_from_args(args)
+                noise = NoiseSpec(family=args.noise, sigma2=args.sigma2, df=args.df)
+                simulate(params, args.n, noise=noise, seed=args.seed,
+                         burn_in=args.burn_in).to_csv(args.output)
+            else:
+                _emit(_result_text(args), getattr(args, "output", None))
+        except SystemExit:  # --help; every parse error raises ValueError
+            pass
+        except (ArdwError, MemoryError, OSError, ValueError) as exc:
+            error = exc
+    lines = [{"warning": w.category.__name__, "message": str(w.message)} for w in caught]
+    if error is not None:
+        lines.append({"error": type(error).__name__, "message": str(error)})
+    sys.stderr.write("".join(json_text(line, indent=None) for line in lines))
+    return 0 if error is None else 3 if isinstance(error, ArdwError) else 2
 
 
 def main() -> None:

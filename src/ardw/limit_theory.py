@@ -41,6 +41,9 @@ THETA_STAR_P_SINGULARITY_TOL = 1e-8
 _svd = getattr(_umath_linalg, "svd", None) or _umath_linalg.svd_n  # svd_n on numpy 1.x
 _solve, _inv, _eigvalsh = _umath_linalg.solve1, _umath_linalg.inv, _umath_linalg.eigvalsh_lo
 
+#: condition number past which a system is numerically singular
+_SINGULAR_COND = 1.0 / np.finfo(float).eps
+
 
 def _cond(a: np.ndarray) -> float:
     """2-norm condition number s_max / s_min, as np.linalg.cond gives it;
@@ -128,7 +131,7 @@ def beta_vector(params: ModelParams) -> np.ndarray:
 
 def alpha_scalar(params: ModelParams) -> float:
     """Normalization 1 / (1 - (theta_p rho)^2), finite on the stability region."""
-    tpr = params.theta[-1] * params.rho
+    tpr = float(params.theta[-1]) * params.rho
     return 1.0 / ((1.0 - tpr) * (1.0 + tpr))
 
 
@@ -164,8 +167,13 @@ def solve_lambda(B: np.ndarray) -> np.ndarray:
     B = _check_array("B", B, 2)
     if B.shape[0] != B.shape[1] or B.size == 0:
         raise ValueError(f"B must be a non-empty square matrix, got shape {B.shape}")
+    return _solve_lambda(B)
+
+
+def _solve_lambda(B: np.ndarray) -> np.ndarray:
+    """solve_lambda for a B already known to be a finite square float array."""
     cond = _cond(B)
-    if not cond <= 1.0 / np.finfo(float).eps:
+    if not cond <= _SINGULAR_COND:
         raise SingularB(f"system matrix numerically singular (cond ~ {cond:.3g})")
     if cond > ILL_CONDITION_THRESHOLD:
         warnings.warn(
@@ -204,6 +212,11 @@ def toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
     lam = _check_array("lam", lam, 1)
     if m > lam.shape[0]:
         raise ValueError(f"need at least {m} autocovariance values, got {lam.shape[0]}")
+    return _toeplitz_delta(lam, m)
+
+
+def _toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
+    """toeplitz_delta for a finite float lam of length >= m >= 1."""
     delta = _symmetric_toeplitz(lam, m)
     eigmin = _eigvalsh(delta)[0]
     if not eigmin > 0.0:
@@ -293,16 +306,18 @@ def limit_summary(params: ModelParams) -> LimitSummary:
 
     The last-coordinate asymptotic variance of the serial correlation
     estimator is computed twice (as the corner of the joint covariance and
-    through its explicit expansion) and the two must agree.
+    through its explicit expansion) and the two must agree. The cores skip the
+    input checks: B is finite and square by construction, lam finite once its
+    solve residual passes. Scalars are Python floats, same bits as float64.
     """
     p = params.p
     alpha = alpha_scalar(params)
     beta = beta_vector(params)
-    tpr = params.theta[-1] * params.rho
+    tpr = float(params.theta[-1]) * params.rho
 
     B = _system_matrix(beta, tpr, p)
-    lam = solve_lambda(B)
-    Delta_p1 = toeplitz_delta(lam, p + 1)
+    lam = _solve_lambda(B)
+    Delta_p1 = _toeplitz_delta(lam, p + 1)
     # a leading principal block of a positive definite matrix is positive
     # definite (Cauchy interlacing), so Delta_p needs no check of its own
     Delta_p = Delta_p1[:p, :p]
@@ -310,28 +325,30 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     eye, J, e_p = _order_arrays(p)
     K = eye - tpr * J
     theta_star = alpha * (K @ beta)
-    rho_star = tpr * theta_star[-1]
+    theta_star_p = float(theta_star[-1])
+    rho_star = tpr * theta_star_p
     d_star = 2.0 * (1.0 - rho_star)
 
     Delta_p_inv = _inv(Delta_p)
-    Sigma_theta = alpha**2 * (K @ Delta_p_inv @ K)
+    K_Dinv = K @ Delta_p_inv
+    Sigma_theta = alpha**2 * (K_Dinv @ K)
 
-    P_B = alpha * (K @ Delta_p_inv)
-    P_L = J @ K @ (alpha * tpr * (Delta_p_inv @ e_p) + theta_star[-1] * beta)
-    phi = -theta_star[-1] / alpha
+    P_B = alpha * K_Dinv
+    P_L = J @ K @ (alpha * tpr * (Delta_p_inv @ e_p) + theta_star_p * beta)
+    ratio = theta_star_p / alpha
     P = np.zeros((p + 1, p + 1))
     P[:p, :p] = P_B
     P[p, :p] = P_L
-    P[p, p] = phi
+    P[p, p] = -ratio
 
     Gamma = P @ Delta_p1 @ P.T
-    sigma2_rho = Gamma[p, p]
+    sigma2_rho = float(Gamma[p, p])
 
     lam_p1 = lam[1 : p + 1]
     sigma2_rho_explicit = (
         P_L @ Delta_p @ P_L
-        - 2.0 * (theta_star[-1] / alpha) * (lam_p1 @ (J @ P_L))
-        + (theta_star[-1] / alpha) ** 2 * lam[0]
+        - 2.0 * ratio * (lam_p1 @ (J @ P_L))
+        + ratio**2 * lam[0]
     )
     rel = abs(sigma2_rho - sigma2_rho_explicit) / max(abs(sigma2_rho), 1e-30)
     if not rel <= 1e-9:
@@ -355,5 +372,5 @@ def limit_summary(params: ModelParams) -> LimitSummary:
         Gamma=Gamma,
         sigma2_rho=sigma2_rho,
         sigma2_D=4.0 * sigma2_rho,
-        gamma_singular=bool(abs(theta_star[-1]) < THETA_STAR_P_SINGULARITY_TOL),
+        gamma_singular=abs(theta_star_p) < THETA_STAR_P_SINGULARITY_TOL,
     )

@@ -5,6 +5,7 @@ import pytest
 
 import ardw
 from ardw.cli import run
+from ardw.text import json_text
 
 
 def read_json_lines(text):
@@ -34,6 +35,28 @@ class TestLimits:
         assert run(["limits", "--theta", "-0.3,0.2", "--rho", "0.1"]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "ValueError", "message": "argument --theta: expected one argument"}
+
+    def test_warning_is_one_json_line(self, capsys):
+        # cond(B) ~ 2.66e12: past the warning threshold, short of singular
+        argv = ["limits", "--theta", "0.999999999999", "--rho", "0"]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        with pytest.warns(RuntimeWarning):
+            prm = ardw.ModelParams(p=1, theta=[0.999999999999], rho=0.0)
+            assert out == json_text(ardw.limit_summary(prm).to_dict())
+        assert err == ('{"warning": "RuntimeWarning", "message": '
+                       '"autocovariance system ill-conditioned (cond ~ 2.66e+12)"}\n')
+
+    def test_error_payload_follows_the_warning(self, capsys):
+        assert run(["limits", "--theta", "0.999999999999", "--rho", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert read_json_lines(err) == [
+            {"warning": "RuntimeWarning",
+             "message": "autocovariance system ill-conditioned (cond ~ 1.38e+13)"},
+            {"error": "NotPositiveDefinite",
+             "message": "two serial-correlation variance routes disagree (rel 0.000387)"},
+        ]
 
     def test_unstable_is_numerical_error(self, capsys):
         assert run(["limits", "--theta", "0.7,0.6", "--rho", "0.0"]) == 3

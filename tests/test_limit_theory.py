@@ -24,6 +24,13 @@ def params(theta, rho, sigma2=1.0):
     return ardw.ModelParams(p=len(theta), theta=theta, rho=rho, sigma2=sigma2)
 
 
+def golden_grid():
+    """300 seeded stable sets, 60 for each p in 1..5, and a gamma_singular one."""
+    rng = np.random.default_rng(1871)
+    grid = [random_stable_params(rng, p) for p in range(1, 6) for _ in range(60)]
+    return [*grid, params([0.5], -0.5)]
+
+
 def build_B_parts(params):
     """Oracle decomposition B = B1 + rho * B2 with B1 the rho-free part."""
     theta, p = params.theta, params.p
@@ -454,6 +461,27 @@ class TestLimitSummary:
         ardw.limit_summary(prm)
         assert sorted(calls) == ["beta_vector", "eigvalsh", "inv", "solve", "svd"]
 
+    def test_validates_only_at_the_boundary(self, monkeypatch):
+        # the cores trust the B and lam that limit_summary built itself
+        prm = params([0.4, -0.3, 0.2], 0.3)  # construction checks p
+        calls = []
+        for name in ("_check_array", "_check_integer"):
+            check = getattr(lt, name)
+            monkeypatch.setattr(lt, name,
+                                lambda *a, _n=name, _f=check: calls.append(_n) or _f(*a))
+        ardw.limit_summary(prm)
+        assert calls == []
+        ardw.toeplitz_delta(ardw.solve_lambda(ardw.build_B(prm)), 3)
+        assert calls == ["_check_array", "_check_integer", "_check_array"]
+
+    def test_scalars_are_python_floats_and_bool(self):
+        for prm in (params([0.4, -0.3, 0.2], 0.3), params([0.5], -0.5)):
+            assert type(ardw.alpha_scalar(prm)) is float
+            s = ardw.limit_summary(prm)
+            for name in ("alpha", "rho_star", "d_star", "sigma2_rho", "sigma2_D"):
+                assert type(getattr(s, name)) is float, name
+            assert type(s.gamma_singular) is bool
+
     def test_returned_arrays_share_nothing_with_the_next_call(self):
         def snapshot(s):
             return {k: v.tobytes() for k, v in vars(s).items() if isinstance(v, np.ndarray)}
@@ -483,14 +511,10 @@ class TestLimitSummary:
         assert not ardw.limit_summary(params([0.5], 0.3)).gamma_singular
 
     def test_golden_bits(self):
-        # 300 seeded stable sets, 60 for each p in 1..5, and a gamma_singular
-        # one: the JSON and the raw bytes of every matrix, pinned as the code
-        # wrote them before limit_summary computed beta once
-        rng = np.random.default_rng(1871)
-        grid = [random_stable_params(rng, p) for p in range(1, 6) for _ in range(60)]
-        grid.append(params([0.5], -0.5))
+        # the JSON and the raw bytes of every matrix on the golden grid,
+        # pinned as the code wrote them before limit_summary computed beta once
         h = hashlib.sha256()
-        for prm in grid:
+        for prm in golden_grid():
             s = ardw.limit_summary(prm)
             h.update(json_text(s.to_dict()).encode())
             for a in (s.B, s.Delta_p, s.Delta_p1, s.P, s.C_A, s.Sigma_theta, s.Gamma):
@@ -499,3 +523,9 @@ class TestLimitSummary:
         assert h.hexdigest() == (
             "2346690224e6c97e632abe54b52bc98d4c80b580c80cefbd8b85090aeea9d20c"
         )
+
+    def test_public_wrappers_have_the_bits_of_the_cores(self):
+        for prm in golden_grid():
+            s = ardw.limit_summary(prm)
+            assert ardw.solve_lambda(s.B).tobytes() == s.Lambda.tobytes()
+            assert ardw.toeplitz_delta(s.Lambda, prm.p + 1).tobytes() == s.Delta_p1.tobytes()
