@@ -9,7 +9,9 @@ to stdout otherwise, so the file holds exactly the bytes the command would
 print. power --workers above the CPU count runs at the CPU count.
 Exit codes: 0 success, 2 usage error, 3 numerical/degeneracy error (with a
 machine-readable JSON payload on stderr). Each advisory warning goes to
-stderr as one JSON line {"warning", "message"}, before any error payload.
+stderr as one JSON line {"warning", "message"}, before any error payload; a
+warning that python -W error turns into an exception exits 3 with its
+payload.
 """
 
 from __future__ import annotations
@@ -158,13 +160,13 @@ def run(argv: list[str] | None = None) -> int:
                 _emit(_result_text(args), getattr(args, "output", None))
         except SystemExit:  # --help; every parse error raises ValueError
             pass
-        except (ArdwError, MemoryError, OSError, ValueError) as exc:
-            error = exc
+        except (ArdwError, MemoryError, OSError, ValueError, Warning) as exc:
+            error = exc  # a Warning here is one that -W error made an exception
     lines = [{"warning": w.category.__name__, "message": str(w.message)} for w in caught]
     if error is not None:
         lines.append({"error": type(error).__name__, "message": str(error)})
     sys.stderr.write("".join(json_text(line, indent=None) for line in lines))
-    return 0 if error is None else 3 if isinstance(error, ArdwError) else 2
+    return 0 if error is None else 3 if isinstance(error, (ArdwError, Warning)) else 2
 
 
 def main() -> None:

@@ -242,6 +242,7 @@ def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
     Sigma <- C Sigma C' + e e' to stationarity and reads lag 0..p off the
     first row, extending to higher lags through the scalar recursion.
     """
+    max_lag = _check_integer("max_lag", max_lag)
     if max_lag < params.p + 1:
         raise ValueError(f"max_lag must be >= p+1 = {params.p + 1}")
     C = companion_matrix(params)

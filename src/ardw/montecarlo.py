@@ -13,7 +13,7 @@ import os
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,14 @@ class StudyConfig:
         object.__setattr__(self, "n_list", tuple(_check_integer("n", n) for n in self.n_list))
         object.__setattr__(self, "level", _check_level(self.level))
         _check_names(self.tests)
+        for name, value in (("n_list", self.n_list), ("tests", self.tests)):
+            if len(set(value)) < len(value):
+                raise ValueError(f"{name} must not repeat a value, got {value!r}")
+        if not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"noise must be a NoiseSpec, got {self.noise!r}")
         for prm in self.params_list:
+            if not isinstance(prm, ModelParams):
+                raise ValueError(f"params_list entries must be ModelParams, got {prm!r}")
             for n in self.n_list:
                 _check_length(prm, n)
 
@@ -121,16 +128,16 @@ def _replicate(params, n, noise, prefix, reps, burn_in=0, level=0.05, names=()):
 
 
 def _run_chunk(args) -> Counter:
-    """Counts keyed (test name, "reject" | "inapplicable") over a range of
-    replications of one (params, n) cell."""
+    """Counts keyed (params_id, n, test name, "reject" | "inapplicable") over
+    a range of replications of one (params, n) cell."""
     config, params_id, n, reps = args
     counts = Counter()
     for _, _, tests in _replicate(config.params_list[params_id], n, config.noise,
                                   (config.master_seed, params_id, n), reps,
                                   config.burn_in, config.level, config.tests):
         for name, (reject, inapplicable) in tests.items():
-            counts[name, "reject"] += int(reject.sum())
-            counts[name, "inapplicable"] += int(inapplicable.sum())
+            counts[params_id, n, name, "reject"] += int(reject.sum())
+            counts[params_id, n, name, "inapplicable"] += int(inapplicable.sum())
     return counts
 
 
@@ -138,39 +145,29 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     """Tabulate empirical rejection frequencies over the study grid.
 
     Deterministic for a fixed master_seed whatever the worker count:
-    replication seeds depend only on their grid coordinates and results are
-    merged in grid order. workers > 1 runs the chunks on one process pool
-    for the whole study, of at most os.cpu_count() processes; workers must
-    be an integer >= 1, or ValueError.
+    replication seeds depend only on their grid coordinates, and the counts
+    are summed. Each (params, n) cell is one task per worker, task w taking
+    the replications range(w, reps, workers). workers > 1 runs the tasks on
+    one process pool for the whole study, of at most os.cpu_count()
+    processes; workers must be an integer >= 1, or ValueError.
     """
     workers = min(_check_integer("workers", workers, 1), os.cpu_count() or 1)
-    cells = [
-        (params_id, n)
-        for params_id in range(len(config.params_list))
-        for n in config.n_list
-    ]
-    chunk_size = max(1, config.reps // (4 * workers))
-    chunks = [
-        (config, params_id, n, range(r, min(r + chunk_size, config.reps)))
-        for params_id, n in cells
-        for r in range(0, config.reps, chunk_size)
-    ]
-    totals = {cell: Counter() for cell in cells}
+    grid = list(product(range(len(config.params_list)), config.n_list))
+    tasks = [(config, params_id, n, range(w, config.reps, workers))
+             for params_id, n in grid for w in range(workers)]
     if workers > 1:
         _linear_filter()  # loaded once here, not in each forked worker
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing, for pools only
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or nullcontext():
-        results = (pool.map if pool else map)(_run_chunk, chunks)
-        for (_, params_id, n, _), counts in zip(chunks, results):
-            totals[params_id, n].update(counts)
+        counts = sum((pool.map if pool else map)(_run_chunk, tasks), Counter())
 
     rows = []
-    for (params_id, n), counts in totals.items():
+    for params_id, n in grid:
         for name in config.tests:
-            r = counts[name, "reject"] / config.reps
+            r = counts[params_id, n, name, "reject"] / config.reps
             rows.append(dict(zip(_COLUMNS, (
-                params_id, n, name, r, counts[name, "inapplicable"] / config.reps,
+                params_id, n, name, r, counts[params_id, n, name, "inapplicable"] / config.reps,
                 float(np.sqrt(r * (1.0 - r) / config.reps)), config.reps,
             ))))
     return PowerTable(rows=tuple(rows))

@@ -249,7 +249,10 @@ def derive_rng(master_seed: int, *context: int) -> np.random.Generator:
 
 
 def _noise(params: ModelParams, noise: NoiseSpec | None) -> NoiseSpec:
-    """noise, or for None simulate's default: gaussian with the model's sigma2."""
+    """noise, or for None simulate's default: gaussian with the model's sigma2.
+    Anything else raises ValueError."""
+    if noise is not None and not isinstance(noise, NoiseSpec):
+        raise ValueError(f"noise must be a NoiseSpec or None, got {noise!r}")
     return NoiseSpec(sigma2=params.sigma2) if noise is None else noise
 
 

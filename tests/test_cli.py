@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,19 @@ class TestLimits:
             assert out == json_text(ardw.limit_summary(prm).to_dict())
         assert err == ('{"warning": "RuntimeWarning", "message": '
                        '"autocovariance system ill-conditioned (cond ~ 2.66e+12)"}\n')
+
+    @pytest.mark.parametrize("flag", ["error::RuntimeWarning", "error"])
+    def test_warning_raised_as_error_exits_3(self, flag):
+        # python -W error makes warnings.warn raise the warning
+        env = dict(os.environ, PYTHONPATH=str(Path(ardw.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", flag, "-m", "ardw.cli", "limits",
+             "--theta", "0.999999999999", "--rho", "0"],
+            env=env, capture_output=True, text=True, check=False, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == ('{"error": "RuntimeWarning", "message": '
+                               '"autocovariance system ill-conditioned (cond ~ 2.66e+12)"}\n')
 
     def test_error_payload_follows_the_warning(self, capsys):
         assert run(["limits", "--theta", "0.999999999999", "--rho", "0.5"]) == 3
@@ -307,7 +324,10 @@ class TestPowerCommand:
          ({"tests": ""}, "tests must be a list, got ''"),
          ({"n_list": ""}, "n_list must be a list, got ''"),
          ({"n_list": 100}, "n_list must be a list, got 100"),
-         ({"noise": {"family": "uniform", "sigma2": 1e308}}, "sqrt(3 sigma2) finite")],
+         ({"noise": {"family": "uniform", "sigma2": 1e308}}, "sqrt(3 sigma2) finite"),
+         ({"n_list": [100, 100]}, "n_list must not repeat a value, got (100, 100)"),
+         ({"tests": ["dw_chi2", "durbin_h", "dw_chi2"]},
+          "tests must not repeat a value, got ('dw_chi2', 'durbin_h', 'dw_chi2')")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "reps_below_100",
@@ -316,7 +336,8 @@ class TestPowerCommand:
              "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key",
              "p_bool", "p_float", "p_string", "rho_string", "level_string",
              "level_out_of_range", "tests_string", "tests_empty_string",
-             "n_list_empty_string", "n_list_int", "noise_uniform_sigma2_overflows"],
+             "n_list_empty_string", "n_list_int", "noise_uniform_sigma2_overflows",
+             "n_list_repeated", "tests_repeated"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],

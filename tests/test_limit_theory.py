@@ -246,8 +246,10 @@ class TestToeplitz:
     ("toeplitz_delta", (np.array([2.0, 0.5]), 1.5), "m must be an integer, got 1.5"),
     ("toeplitz_delta", (np.eye(2), 2), r"lam must be a 1-D real array, got shape \(2, 2\)"),
     ("toeplitz_delta", (np.array([2.0, np.nan]), 2), "lam must contain only finite values"),
+    ("lyapunov_lambda_oracle", (ardw.ModelParams(p=1, theta=[0.5], rho=0.2), 5.5),
+     "max_lag must be an integer, got 5.5"),
 ], ids=["B_2x3", "B_empty", "B_1d", "B_list", "B_nan",
-        "m_0", "m_negative", "m_float", "lam_2d", "lam_nan"])
+        "m_0", "m_negative", "m_float", "lam_2d", "lam_nan", "max_lag_float"])
 def test_bad_input_raises_value_error_before_lapack(fn, args, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

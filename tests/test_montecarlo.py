@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -173,6 +174,19 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a list, got "):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_list", (100, np.int64(100)), "n_list must not repeat a value, got (100, 100)"),
+        ("tests", ("dw_chi2", "dw_chi2"),
+         "tests must not repeat a value, got ('dw_chi2', 'dw_chi2')"),
+        ("noise", "gaussian", "noise must be a NoiseSpec, got 'gaussian'"),
+        ("noise", None, "noise must be a NoiseSpec, got None"),
+        ("params_list", ({"p": 1, "theta": [0.5], "rho": 0.0},),
+         "params_list entries must be ModelParams, got {'p': 1"),
+    ], ids=["n_repeated", "test_repeated", "noise_str", "noise_none", "params_dict"])
+    def test_bad_values_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            small_config(**{name: value})
+
     def test_empty_lists_allowed(self):
         cfg = small_config(params_list=[], n_list=[], tests=iter(()))
         assert (cfg.params_list, cfg.n_list, cfg.tests) == ((), (), ())
@@ -240,6 +254,22 @@ class TestSizePowerStudy:
         serial = ardw.size_power_study(cfg, workers=1).to_csv()
         parallel = ardw.size_power_study(cfg, workers=4).to_csv()
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_task_per_worker_per_cell(self, monkeypatch, workers):
+        # task w of a cell runs the replications range(w, reps, workers)
+        cfg = small_config(n_list=(40, 100), reps=101)
+        serial = ardw.size_power_study(cfg)
+        serial_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        tasks, run_chunk = [], ardw.montecarlo._run_chunk
+        monkeypatch.setattr(ardw.montecarlo, "_run_chunk",
+                            lambda task: tasks.append(task[1:]) or run_chunk(task))
+        assert ardw.size_power_study(cfg, workers=workers) == serial
+        assert len(tasks) == len(cfg.params_list) * len(cfg.n_list) * workers
+        assert tasks == [(params_id, n, range(w, cfg.reps, workers))
+                         for params_id in range(len(cfg.params_list))
+                         for n in cfg.n_list for w in range(workers)]
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # the huge worker count starts no process

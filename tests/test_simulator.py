@@ -181,6 +181,17 @@ class TestNoiseSpec:
         assert np.max(np.abs(v)) <= 3.0
         assert np.var(v) == pytest.approx(3.0, rel=0.02)
 
+    @pytest.mark.parametrize("call", [
+        lambda noise: ardw.simulate(STANDARD, 50, noise=noise),
+        lambda noise: ardw.clt_diagnostic(STANDARD, 50, 10, noise=noise),
+        lambda noise: ardw.rate_diagnostic(STANDARD, 100, noise=noise),
+    ], ids=["simulate", "clt_diagnostic", "rate_diagnostic"])
+    @pytest.mark.parametrize("noise", ["gaussian", {"family": "uniform"}], ids=["str", "dict"])
+    def test_noise_must_be_a_noise_spec_or_none(self, call, noise):
+        with pytest.raises(ValueError) as info:
+            call(noise)
+        assert str(info.value) == f"noise must be a NoiseSpec or None, got {noise!r}"
+
 
 class TestFilterKernel:
     """simulate runs scipy's filter kernel without importing scipy.signal; both
