@@ -85,15 +85,21 @@ def ols_theta(x: np.ndarray, p: int,
     """Least squares estimate of the autoregressive coefficients.
 
     Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
-    A singular S raises SingularDesign. A p that is not an integer >= 1, or a
-    series value that is not finite or has magnitude >= 1e150, raises
-    ValueError, and a series shorter than p+2 SingularDesign; on a block these
-    raise for the whole block.
+    A singular S raises SingularDesign, and a series value that is not
+    finite or has magnitude >= 1e150 ValueError. A p that is not an integer
+    >= 1, or an x that is not one series (without errors) or one row per
+    row of errors, raises ValueError, and a series shorter than p+2
+    SingularDesign; on a block these three raise for the whole block.
     """
     x = np.asarray(x, dtype=float)
     _check_integer("p", p, 1)
-    if not np.all(np.abs(x) < 1e150):  # squares and their sums stay finite
-        raise ValueError("series must contain only finite values below 1e150")
+    if x.ndim < 1 or x.shape[:-1] != errors.failed.shape:
+        want = ", ".join([*map(str, errors.failed.shape), "n+1"])
+        raise ValueError(f"x must have shape ({want}), got {x.shape}")
+    big = ~(np.abs(x) < 1e150).all(axis=-1)  # squares and their sums stay finite
+    errors.add(big, ValueError, "series must contain only finite values below 1e150")
+    if big.any():  # a block's tripped rows, zeroed before any square
+        x = np.where(big[..., None], 0.0, x)
     if x.shape[-1] < p + 2:
         raise SingularDesign(f"series length {x.shape[-1]} < p+2 = {p + 2}")
     L = lag_matrix(x, p)
@@ -168,8 +174,8 @@ def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
     (only its limit is guaranteed); a note in warnings flags either case.
     A row of a block with an error holds meaningless values."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[-1] - 1
     theta_hat, S = ols_theta(x, p, errors)
+    n = x.shape[-1] - 1
     eps = residuals(x, theta_hat)
     rho_hat = ols_rho(eps, errors)
     dw = dw_statistic(eps, errors)
@@ -206,7 +212,7 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0] - 1
-    S, Pi = sample_autocov_toeplitz(x, p)
+    S, Pi = sample_autocov_toeplitz(x, _check_integer("p", p, 1))
     theta_yw = _checked_solve(S, Pi[:, None], SingularToeplitz,
                               "sample Toeplitz matrix")[:, 0]
     s0 = S[0, 0]

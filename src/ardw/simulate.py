@@ -83,11 +83,10 @@ class Trajectory:
     """Simulated sample path with full seed provenance.
 
     x and eps have length n+1 (indices 0..n); v holds the innovations
-    V_0..V_n where V_0 only feeds the initial noise value. For a list of
-    seeds they hold one row per seed. noise is the spec the innovations were
-    drawn with; None stands for simulate's default, gaussian with the
-    model's sigma2. A tuple seed (as in studies) is stored as a list in the
-    JSON sidecar and read back as a tuple.
+    V_0..V_n where V_0 only feeds the initial noise value. noise is the spec
+    the innovations were drawn with; None stands for simulate's default,
+    gaussian with the model's sigma2. A tuple seed (as in studies) is stored
+    as a list in the JSON sidecar and read back as a tuple.
     """
 
     x: np.ndarray
@@ -103,10 +102,7 @@ class Trajectory:
 
     def to_csv(self, path: str | Path) -> None:
         """Series to CSV plus a JSON sidecar with the parameters, noise and
-        seed that simulate it again. A block (from a list of seeds) raises
-        ValueError: a CSV holds one series."""
-        if self.x.ndim != 1:
-            raise ValueError(f"to_csv writes one series; this block holds {len(self.x)} rows")
+        seed that simulate it again."""
         path = Path(path)
         path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
         sidecar = {**record_dict(self.params), "noise": record_dict(self.noise),
@@ -265,7 +261,7 @@ def simulate(
     params: ModelParams,
     n: int,
     noise: NoiseSpec | None = None,
-    seed: int | tuple[int, ...] | list = 0,
+    seed: int | tuple[int, ...] = 0,
     burn_in: int = 0,
 ) -> Trajectory:
     """Generate X_0..X_n under the model recursion.
@@ -273,20 +269,14 @@ def simulate(
     Pre-sample observations are zero and X_0 equals the initial noise value.
     The noise chain starts stationary (eps_0 = V_0/sqrt(1-rho^2)) burn_in
     steps before the first reported index, so the observation recursion
-    holds exactly at every reported index. A list of seeds gives a block:
-    one path per seed, each drawn as that seed alone would draw it, as the
-    rows of x, eps and v. n, burn_in and every int of a seed must be
-    integers (numpy integers are stored as int) and seeds >= 0, or
-    ValueError.
+    holds exactly at every reported index. n, burn_in and the seed (an int
+    or a tuple of ints) must be integers (numpy integers are stored as int)
+    and the seed >= 0, or ValueError.
     """
     n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in, 0)
     _check_length(params, n)
-    seeds = [_check_seed(s) for s in (seed if isinstance(seed, list) else [seed])]
-    x, eps, v = _paths(params, n, noise, seeds, burn_in)
-    if isinstance(seed, list):
-        seed = seeds
-    else:
-        x, eps, v, seed = x[0], eps[0], v[0], seeds[0]
+    seed = _check_seed(seed)
+    x, eps, v = (a[0] for a in _paths(params, n, noise, [seed], burn_in))
     return Trajectory(x=x, eps=eps, v=v, params=params, seed=seed, burn_in=burn_in,
                       noise=noise)
 
@@ -314,8 +304,8 @@ def _linear_filter():
 
 def _paths(params: ModelParams, n: int, noise: NoiseSpec | None, seeds: list,
            burn_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x, eps and v blocks of simulate, one row per seed, from arguments
-    that are already checked (seeds as _check_seed returns them)."""
+    """The x, eps and v blocks, one row per seed, each row what simulate draws
+    for that seed alone, from checked arguments (seeds as _check_seed gives)."""
     linear_filter = _linear_filter()
     rho = params.rho
     v = _noise(params, noise).draw(_generators(seeds), (len(seeds), burn_in + n + 1))

@@ -28,7 +28,7 @@ from ardw.errors import (
     SingularDesign,
 )
 from ardw.serial_tests import _TESTS, TEST_NAMES, outcome_masks
-from ardw.simulate import NoiseSpec, derive_rng
+from ardw.simulate import NoiseSpec, _paths
 from ardw.text import json_text
 
 from conftest import random_stable_params
@@ -48,7 +48,8 @@ def bits(a) -> bytes:
 
 def assert_rows_match_one_series(x, p, level=0.05):
     """fit and every test on the block x equal fit and run_tests on each row
-    alone: the same bits, or the same error type and message."""
+    alone: the same bits, or the same error type and message (a ValueError
+    for a value past 1e150)."""
     errors = RowErrors(len(x))
     fits = ardw.fit(x, p, errors)
     masks = outcome_masks(x, fits, errors.failed, level, TEST_NAMES)
@@ -61,7 +62,7 @@ def assert_rows_match_one_series(x, p, level=0.05):
     for i, xi in enumerate(x):
         try:
             one = ardw.fit(xi, p)
-        except ArdwError as exc:
+        except (ArdwError, ValueError) as exc:
             kept = errors.error(i)
             assert (type(kept), str(kept)) == (type(exc), str(exc))
             assert all(masks[name][1][i] and not masks[name][0][i] for name in TEST_NAMES)
@@ -96,15 +97,15 @@ def blocks(draw):
 @given(blocks())
 def test_blocks_equal_one_series(case):
     params, n, noise, burn_in, seeds, cuts = case
-    traj = ardw.simulate(params, n, noise, seeds, burn_in)
+    block = _paths(params, n, noise, seeds, burn_in)
     for row, seed in enumerate(seeds):
         one = ardw.simulate(params, n, noise, seed, burn_in)
-        for name in ("x", "eps", "v"):
-            assert bits(getattr(traj, name)[row]) == bits(getattr(one, name))
+        for a, name in zip(block, ("x", "eps", "v")):
+            assert bits(a[row]) == bits(getattr(one, name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for start, stop in zip([0, *cuts], cuts):
-            assert_rows_match_one_series(traj.x[start:stop], params.p)
+            assert_rows_match_one_series(block[0][start:stop], params.p)
 
 
 def one_series_counts(config: ardw.StudyConfig) -> dict:
@@ -209,7 +210,7 @@ class TestErrorParity:
 
     def test_singular_row_leaves_good_rows_unchanged(self):
         params = ardw.ModelParams(p=2, theta=np.array([0.4, -0.3]), rho=0.2)
-        good = ardw.simulate(params, 60, seed=[(3, i) for i in range(5)]).x
+        good = _paths(params, 60, None, [(3, i) for i in range(5)], 0)[0]
         block = good.copy()
         block[2] = 0.0
         with warnings.catch_warnings():
@@ -230,11 +231,14 @@ class TestErrorParity:
 
     @settings(max_examples=40)
     @example([0.0] * 6)
-    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.12867068e-162, 1e149, 5e-324]),
+    @example([1.0, 1e150, 0.0, -1.0])
+    @example([np.inf, 1.0, np.nan, 0.5])
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.12867068e-162, 1e149, 5e-324, 1e150,
+                                     -1e300, np.inf, np.nan]),
                     min_size=4, max_size=9))
     def test_degenerate_rows_neither_raise_nor_warn(self, row):
-        # zeros, subnormals and values near the 1e150 bound fail the checks in
-        # turn; stacked with a zero row and a good one
+        # zeros, subnormals, values near or past the 1e150 bound and non-finite
+        # values fail the checks in turn; stacked with a zero row and a good one
         x = np.array([row, [0.0] * len(row), [1.0, -0.5, 0.3, 0.9, -1.1, 0.2, 0.7, -0.4,
                                                0.1][: len(row)]])
         with warnings.catch_warnings():
@@ -260,10 +264,11 @@ def test_one_series_outputs_golden():
     )
 
 
-# sha256 of NoiseSpec(family, sigma2=2.5, df=6).draw(derive_rng(7), 1001) and
-# of x, eps and v of a 3-row simulate block, as the row-by-row draws gave
-# them; no study golden covers uniform or rademacher noise. They live here,
-# not in test_simulator.py, which also runs on the oldest numpy and scipy.
+# sha256 of NoiseSpec(family, sigma2=2.5, df=6).draw(rng, 1001), rng numpy's
+# default_rng(SeedSequence(7)), and of x, eps and v of a 3-row _paths block,
+# as the row-by-row draws gave them; no study golden covers uniform or
+# rademacher noise. They live here, not in test_simulator.py, which also runs
+# on the oldest numpy and scipy.
 DRAW_GOLDENS = {
     "gaussian": ("0a2cbaadf7ced9711a4b49b0d6e9bfd60ced4a57befcd53d7fdaeab51e6efd6f",
                  "2763d0dec833b6a576e690bce4dee20a40f6fbdbb300f7067b8ae9e0e27ae366"),
@@ -279,12 +284,11 @@ DRAW_GOLDENS = {
 @pytest.mark.parametrize("family", list(DRAW_GOLDENS))
 def test_draws_golden(family):
     noise = NoiseSpec(family, sigma2=2.5, df=6)
-    draws = noise.draw(derive_rng(7), 1001)
-    traj = ardw.simulate(ardw.ModelParams(p=2, theta=[0.4, -0.3], rho=0.2), 60, noise,
-                         seed=[3, (5, 1), 2**40], burn_in=4)
+    draws = noise.draw(np.random.default_rng(np.random.SeedSequence(7)), 1001)
+    block = _paths(ardw.ModelParams(p=2, theta=[0.4, -0.3], rho=0.2), 60, noise,
+                   [3, (5, 1), 2**40], 4)
     assert (hashlib.sha256(bits(draws)).hexdigest(),
-            hashlib.sha256(bits(traj.x) + bits(traj.eps) + bits(traj.v)).hexdigest()
-            ) == DRAW_GOLDENS[family]
+            hashlib.sha256(b"".join(map(bits, block))).hexdigest()) == DRAW_GOLDENS[family]
 
 
 # one fresh interpreter runs each step in turn and prints whether scipy.signal

@@ -102,6 +102,20 @@ class TestSimulateFitRoundTrip:
         assert out["rho_hat"] == pytest.approx(f.rho_hat)
         assert out["dw"] == pytest.approx(f.dw)
 
+    def test_values_past_1e150_fit_exit_2(self, tmp_path, capsys):
+        # uniform noise of half-width sqrt(3 * 5e307) ~ 3.9e154 is valid to
+        # simulate, but fit refuses a series with a value past 1e150
+        csv = tmp_path / "traj.csv"
+        assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50", "--noise",
+                    "uniform", "--sigma2", "5e307", "--output", str(csv)]) == 0
+        capsys.readouterr()
+        assert run(["fit", "--input", str(csv), "--p", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "series must contain only finite values below 1e150"}
+
     def test_seed_defaults_to_zero(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "50",

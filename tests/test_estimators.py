@@ -80,12 +80,21 @@ class TestOlsTheta:
             (np.arange(10.0), True, "p must be an integer"),
             (np.arange(10.0), 1.5, "p must be an integer"),
             (np.arange(10.0), "1", "p must be an integer"),
+            (np.float64(1.0), 1, r"x must have shape \(n\+1\), got \(\)"),
+            (np.zeros((2, 50)), 1, r"x must have shape \(n\+1\), got \(2, 50\)"),
+            (np.zeros((2, 2, 50)), 1, r"x must have shape \(n\+1\), got \(2, 2, 50\)"),
         ],
-        ids=["p_zero", "p_negative", "nan", "inf", "p_bool", "p_float", "p_str"],
+        ids=["p_zero", "p_negative", "nan", "inf", "p_bool", "p_float", "p_str", "scalar",
+             "block_without_errors", "three_d"],
     )
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
-        with pytest.raises(ValueError, match=message):
-            ardw.ols_theta(x, p)
+        # fit checks its input through ols_theta; yule_walker_fit checks p
+        calls = [ardw.ols_theta, ardw.fit]
+        if message.startswith("p must"):
+            calls.append(ardw.yule_walker_fit)
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(x, p)
 
 
 KINDS = ("random", "near_singular", "gram", "indefinite", "zero", "nan", "inf")

@@ -249,6 +249,17 @@ class TestSizePowerStudy:
         table = ardw.size_power_study(cfg)
         assert table.rate(1, 500, "dw_chi2") > table.rate(0, 500, "dw_chi2") + 0.3
 
+    @pytest.mark.parametrize("sigma2, inapplicable", [(1e300, 1.0), (1e296, 0.0)])
+    def test_values_past_1e150_fail_their_rows(self, sigma2, inapplicable):
+        # fit refuses a path that reaches 1e150 as a row error, so a config
+        # that passes its checks runs to the end
+        cfg = ardw.StudyConfig(params_list=DEFAULT_SUITE[:1], n_list=(100,), reps=100,
+                               noise=NoiseSpec(sigma2=sigma2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ardw.size_power_study(cfg)
+        assert [r["inapplicable_rate"] for r in table.rows] == [inapplicable] * 5
+
     def test_worker_count_does_not_change_table(self):
         cfg = small_config(reps=120)
         serial = ardw.size_power_study(cfg, workers=1).to_csv()
