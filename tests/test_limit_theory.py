@@ -31,6 +31,23 @@ def golden_grid():
     return [*grid, params([0.5], -0.5)]
 
 
+def high_order_grid():
+    """300 seeded stable sets, 60 for each p in 6..10."""
+    rng = np.random.default_rng(2027)
+    return [random_stable_params(rng, p) for p in range(6, 11) for _ in range(60)]
+
+
+def summary_digest(grid) -> str:
+    """sha256 of the JSON and the raw bytes of every matrix of each summary."""
+    h = hashlib.sha256()
+    for prm in grid:
+        s = ardw.limit_summary(prm)
+        h.update(json_text(s.to_dict()).encode())
+        for a in (s.B, s.Delta_p, s.Delta_p1, s.P, s.C_A, s.Sigma_theta, s.Gamma):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def build_B_parts(params):
     """Oracle decomposition B = B1 + rho * B2 with B1 the rho-free part."""
     theta, p = params.theta, params.p
@@ -515,15 +532,18 @@ class TestLimitSummary:
     def test_golden_bits(self):
         # the JSON and the raw bytes of every matrix on the golden grid,
         # pinned as the code wrote them before limit_summary computed beta once
-        h = hashlib.sha256()
-        for prm in golden_grid():
-            s = ardw.limit_summary(prm)
-            h.update(json_text(s.to_dict()).encode())
-            for a in (s.B, s.Delta_p, s.Delta_p1, s.P, s.C_A, s.Sigma_theta, s.Gamma):
-                h.update(a.tobytes())
-        assert s.gamma_singular
-        assert h.hexdigest() == (
+        grid = golden_grid()
+        assert ardw.limit_summary(grid[-1]).gamma_singular
+        assert summary_digest(grid) == (
             "2346690224e6c97e632abe54b52bc98d4c80b580c80cefbd8b85090aeea9d20c"
+        )
+
+    def test_golden_bits_past_p5(self):
+        # the same for orders 6..10, where BLAS may take other kernel paths
+        grid = high_order_grid()
+        assert sorted({prm.p for prm in grid}) == [6, 7, 8, 9, 10]
+        assert summary_digest(grid) == (
+            "c692310d3bea1ac9322a911c014c063281da4fae36a1e00bb32446e4e7d16b23"
         )
 
     def test_public_wrappers_have_the_bits_of_the_cores(self):
