@@ -70,6 +70,14 @@ def _checked_solve(G, b, error: type[ArdwError], what: str, errors: RowErrors = 
     return np.where(ok, np.linalg.solve(np.where(ok, G, np.eye(G.shape[-1])), b), np.nan)
 
 
+def _check_rows(name: str, x: np.ndarray, rows: tuple) -> None:
+    """ValueError unless x holds one series for each entry of an array of
+    shape rows: () for one series, (R,) for a block of R."""
+    if x.ndim < 1 or x.shape[:-1] != rows:
+        want = ", ".join([*map(str, rows), "n+1"])
+        raise ValueError(f"{name} must have shape ({want}), got {x.shape}")
+
+
 def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
     """Rows are the lag vectors (X_j, X_{j-1}, ..., X_{j-p+1}) for j = 0..n-1,
     with zeros standing in for pre-sample indices."""
@@ -93,9 +101,7 @@ def ols_theta(x: np.ndarray, p: int,
     """
     x = np.asarray(x, dtype=float)
     _check_integer("p", p, 1)
-    if x.ndim < 1 or x.shape[:-1] != errors.failed.shape:
-        want = ", ".join([*map(str, errors.failed.shape), "n+1"])
-        raise ValueError(f"x must have shape ({want}), got {x.shape}")
+    _check_rows("x", x, errors.failed.shape)
     big = ~(np.abs(x) < 1e150).all(axis=-1)  # squares and their sums stay finite
     errors.add(big, ValueError, "series must contain only finite values below 1e150")
     if big.any():  # a block's tripped rows, zeroed before any square
@@ -115,9 +121,11 @@ def ols_theta(x: np.ndarray, p: int,
 
 
 def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Residual series with the convention that the first residual is X_0."""
+    """Residual series with the convention that the first residual is X_0.
+    x must hold one series for each row of theta_hat, or ValueError."""
     x = np.asarray(x, dtype=float)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
+    _check_rows("x", x, theta_hat.shape[:-1])
     eps = np.empty_like(x)
     eps[..., 0] = x[..., 0]
     L = lag_matrix(x, theta_hat.shape[-1])
@@ -128,6 +136,7 @@ def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
 def ols_rho(eps: np.ndarray, errors: RowErrors = SERIES):
     """Lag-1 least squares coefficient of the residual series."""
     eps = np.asarray(eps, dtype=float)
+    _check_rows("eps", eps, errors.failed.shape)
     den = _dot(eps[..., :-1], eps[..., :-1])
     errors.add(den <= 0.0, DegenerateResiduals, "zero energy in lagged residuals")
     return _dot(eps[..., 1:], eps[..., :-1]) / den
@@ -143,6 +152,7 @@ def _residual_energy(eps: np.ndarray, errors: RowErrors) -> np.ndarray:
 def dw_statistic(eps: np.ndarray, errors: RowErrors = SERIES):
     """Durbin-Watson ratio; always in [0, 4]."""
     eps = np.asarray(eps, dtype=float)
+    _check_rows("eps", eps, errors.failed.shape)
     d = np.diff(eps)
     return _dot(d, d) / _residual_energy(eps, errors)
 
@@ -197,26 +207,25 @@ def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
                      sigma2_hat=s2, dw=dw, var_theta1_hat=var_theta1, warnings=notes)
 
 
-def sample_autocov_toeplitz(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Toeplitz Gram matrix of raw lag products and its first-p lag vector."""
-    x = np.asarray(x, dtype=float)
-    s = np.array([float(x[h:] @ x[: x.shape[0] - h]) for h in range(p + 1)])
-    return _symmetric_toeplitz(s, p), s[1 : p + 1]
-
-
 def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """Yule-Walker coefficient estimate and the variance of its first entry.
 
     The variance estimate satisfies an exact algebraic identity:
-    1 - n * var_theta1 equals the squared last coefficient.
+    1 - n * var_theta1 equals the squared last coefficient. x must be one
+    series, or ValueError, of length at least p+2, or SingularDesign.
     """
     x = np.asarray(x, dtype=float)
+    p = _check_integer("p", p, 1)
+    _check_rows("x", x, ())
+    if x.shape[0] < p + 2:
+        raise SingularDesign(f"series length {x.shape[0]} < p+2 = {p + 2}")
     n = x.shape[0] - 1
-    S, Pi = sample_autocov_toeplitz(x, _check_integer("p", p, 1))
-    theta_yw = _checked_solve(S, Pi[:, None], SingularToeplitz,
+    # the raw lag sums s_0..s_p, their Toeplitz matrix S and s_1..s_p
+    s = np.array([float(x[h:] @ x[: n + 1 - h]) for h in range(p + 1)])
+    S = _symmetric_toeplitz(s, p)
+    theta_yw = _checked_solve(S, s[1 : p + 1, None], SingularToeplitz,
                               "sample Toeplitz matrix")[:, 0]
-    s0 = S[0, 0]
-    sigma2_yw = (s0 - float(Pi @ theta_yw)) / n
+    sigma2_yw = (s[0] - float(s[1 : p + 1] @ theta_yw)) / n
     var_theta1 = sigma2_yw * float(np.linalg.inv(S)[0, 0])
     return theta_yw, var_theta1
 

@@ -89,6 +89,12 @@ def _check_integer(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
+def _check_params(params, name: str = "params") -> None:
+    """ValueError unless params is a ModelParams."""
+    if not isinstance(params, ModelParams):
+        raise ValueError(f"{name} must be a ModelParams, got {params!r}")
+
+
 def _check_real(name: str, value) -> float:
     """value as a float; a bool, a string, None or an array raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -242,6 +248,7 @@ def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
     Sigma <- C Sigma C' + e e' to stationarity and reads lag 0..p off the
     first row, extending to higher lags through the scalar recursion.
     """
+    _check_params(params)
     max_lag = _check_integer("max_lag", max_lag)
     if max_lag < params.p + 1:
         raise ValueError(f"max_lag must be >= p+1 = {params.p + 1}")
@@ -310,7 +317,9 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     through its explicit expansion) and the two must agree. The cores skip the
     input checks: B is finite and square by construction, lam finite once its
     solve residual passes. Scalars are Python floats, same bits as float64.
+    A params that is not a ModelParams raises ValueError.
     """
+    _check_params(params)
     p = params.p
     alpha = alpha_scalar(params)
     beta = beta_vector(params)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArdwError, RowErrors
 from .estimators import _dot, fit
-from .limit_theory import LimitSummary, ModelParams, _check_integer, limit_summary
+from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_params, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _linear_filter, _paths, simulate
 from .text import csv_text
@@ -66,8 +66,7 @@ class StudyConfig:
         if not isinstance(self.noise, NoiseSpec):
             raise ValueError(f"noise must be a NoiseSpec, got {self.noise!r}")
         for prm in self.params_list:
-            if not isinstance(prm, ModelParams):
-                raise ValueError(f"params_list entries must be ModelParams, got {prm!r}")
+            _check_params(prm, "each params_list entry")
             for n in self.n_list:
                 _check_length(prm, n)
 
@@ -188,6 +187,7 @@ def clt_diagnostic(
     joint covariance is singular the joint check is skipped with a flag.
     Fewer than 2 successful fits raise ArdwError.
     """
+    _check_params(params)
     n, reps = _check_integer("n", n), _check_integer("reps", reps, 2)
     limits: LimitSummary = limit_summary(params)
     _check_length(params, n)
@@ -343,6 +343,7 @@ def rate_diagnostic(
     The checkpoints are 8 log-spaced stages from min(1000, n_max) to n_max,
     past the first estimation stage max(50, 10p); n_max must exceed that stage.
     """
+    _check_params(params)
     n_max = _check_integer("n_max", n_max)
     start = max(50, 10 * params.p)
     if n_max <= start:

@@ -160,6 +160,8 @@ def outcome_masks(x: np.ndarray, fit: FitResult, fit_failed: np.ndarray, level: 
 
 
 def _check_names(names) -> None:
+    if isinstance(names, str) or not np.iterable(names):
+        raise ValueError(f"names must be a list, got {names!r}")
     for name in names:
         if name not in _TESTS:
             raise ValueError(f"unknown test {name!r}")
@@ -176,7 +178,14 @@ def _check_level(level) -> float:
 def _one(name: str, level: float, x, fit: FitResult, errors: RowErrors = SERIES) -> TestOutcome:
     """The outcome of the named test on one series. With SERIES its error
     raises; with a one-series record, RowErrors(()), the test is reported
-    inapplicable with the error's type."""
+    inapplicable with the error's type. A fit that is not the FitResult of
+    one series, or an x (if not None) of another shape than its residuals,
+    raises ValueError."""
+    if not (isinstance(fit, FitResult) and fit.residuals.ndim == 1):
+        raise ValueError(f"fit must be the FitResult of one series, got {fit!r}")
+    if x is not None and np.shape(x) != fit.residuals.shape:
+        raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
+                         f"fit's residuals, got {np.shape(x)}")
     stat, p_value, notes = _TESTS[name](x, fit, errors)
     if errors.failed:
         stat = p_value = math.nan
@@ -218,8 +227,9 @@ def run_tests(
     outcome_masks, is reported as an outcome with the warnings
     ("inapplicable", error type) rather than aborting the batch.
 
-    An unknown test name, or a level that is not a real number in (0, 1),
-    raises ValueError before any test runs.
+    An unknown test name, names given as a string, or a level that is not
+    a real number in (0, 1), raises ValueError before any test runs; so
+    does, as the first test starts, a fit or an x that _one rejects.
     """
     _check_names(names)
     level = _check_level(level)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .limit_theory import ModelParams, _check_integer, _check_real
+from .limit_theory import ModelParams, _check_integer, _check_params, _check_real
 from .text import csv_text, json_text, record_dict
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
@@ -271,8 +271,9 @@ def simulate(
     steps before the first reported index, so the observation recursion
     holds exactly at every reported index. n, burn_in and the seed (an int
     or a tuple of ints) must be integers (numpy integers are stored as int)
-    and the seed >= 0, or ValueError.
+    and the seed >= 0, and params a ModelParams, or ValueError.
     """
+    _check_params(params)
     n, burn_in = _check_integer("n", n), _check_integer("burn_in", burn_in, 0)
     _check_length(params, n)
     seed = _check_seed(seed)

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ardw
-from ardw.errors import DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
-from ardw.estimators import _checked_solve, _dot, lag_matrix, sample_autocov_toeplitz
+from ardw.errors import SERIES, DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
+from ardw.estimators import _checked_solve, _dot, lag_matrix
 
 
 def params(theta, rho, sigma2=1.0):
@@ -89,8 +90,9 @@ class TestOlsTheta:
     )
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
         # fit checks its input through ols_theta; yule_walker_fit checks p
+        # and the shape
         calls = [ardw.ols_theta, ardw.fit]
-        if message.startswith("p must"):
+        if message != "finite":
             calls.append(ardw.yule_walker_fit)
         for call in calls:
             with pytest.raises(ValueError, match=message):
@@ -216,6 +218,15 @@ class TestResiduals:
         assert eps[..., 0].tobytes() == x[..., 0].tobytes()
         assert eps[..., 1:].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("x, theta_hat, message", [
+        (np.float64(1.0), [0.5], r"x must have shape \(n\+1\), got \(\)"),
+        (np.zeros((2, 50)), [0.5], r"x must have shape \(n\+1\), got \(2, 50\)"),
+        (np.zeros(50), np.zeros((2, 1)), r"x must have shape \(2, n\+1\), got \(50,\)"),
+    ], ids=["scalar", "block_for_one_theta", "series_for_two_thetas"])
+    def test_x_must_hold_one_series_per_theta_hat(self, x, theta_hat, message):
+        with pytest.raises(ValueError, match=message):
+            ardw.residuals(x, theta_hat)
+
     def test_peak_is_the_lags_and_their_product(self):
         # in path lengths of 8(n+1) bytes, at p = 3: eps, the three lag
         # columns and L @ theta read 5.00; a temporary difference read 6.00
@@ -277,6 +288,17 @@ class TestOlsRho:
         limits = ardw.limit_summary(STANDARD)
         f = ardw.fit(ardw.simulate(STANDARD, 10**5, seed=3).x, 2)
         assert abs(f.rho_hat - limits.rho_star) < 0.01
+
+    @pytest.mark.parametrize("eps, errors, message", [
+        (np.float64(1.0), SERIES, r"eps must have shape \(n\+1\), got \(\)"),
+        (np.zeros((2, 50)), SERIES, r"eps must have shape \(n\+1\), got \(2, 50\)"),
+        (np.zeros(50), RowErrors(2), r"eps must have shape \(2, n\+1\), got \(50,\)"),
+    ], ids=["scalar", "block_without_errors", "series_for_two_rows"])
+    def test_eps_must_hold_one_series_per_row(self, eps, errors, message):
+        # dw_statistic follows the same rule
+        for call in (ardw.ols_rho, ardw.dw_statistic):
+            with pytest.raises(ValueError, match=message):
+                call(eps, errors)
 
 
 class TestSigma2Hat:
@@ -357,12 +379,27 @@ class TestYuleWalker:
         with pytest.raises(SingularToeplitz):
             ardw.yule_walker_fit(np.zeros(10), 2)
 
-    def test_toeplitz_structure(self):
-        x = np.arange(1.0, 8.0)
-        S, Pi = sample_autocov_toeplitz(x, 3)
-        assert S[0, 0] == pytest.approx(x @ x)
-        assert S == pytest.approx(S.T)
-        assert S[0, 1] == Pi[0]
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_estimate_solves_the_toeplitz_system(self, p):
+        # the Toeplitz system of the raw lag sums s_0..s_p, built and solved
+        # here, gives the estimate and its variance bit for bit
+        x = np.random.default_rng(12).standard_normal(60)
+        n = len(x) - 1
+        s = np.array([np.dot(x[h:], x[: n + 1 - h]) for h in range(p + 1)])
+        T = scipy.linalg.toeplitz(s[:p])
+        theta = np.linalg.solve(T, s[1:])
+        var1 = (s[0] - s[1:] @ theta) / n * np.linalg.inv(T)[0, 0]
+        theta_yw, var_theta1 = ardw.yule_walker_fit(x, p)
+        assert theta_yw.tobytes() == theta.tobytes()
+        assert var_theta1 == var1
+
+    @pytest.mark.parametrize("length, p", [(4, 3), (2, 3), (0, 1)])
+    def test_series_shorter_than_p_plus_2(self, length, p):
+        # the SingularDesign that fit raises for the same series
+        x, message = np.ones(length), rf"^series length {length} < p\+2 = {p + 2}$"
+        for call in (ardw.yule_walker_fit, ardw.fit):
+            with pytest.raises(SingularDesign, match=message):
+                call(x, p)
 
 
 class TestFit:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -130,6 +131,20 @@ class TestStability:
         ardw.limit_summary(prm)
         with pytest.raises(ValueError, match="read-only"):
             prm.theta[0] = 1.5
+
+
+@pytest.mark.parametrize("bad", [{"p": 1, "theta": [0.5], "rho": 0.1}, None, (1, [0.5], 0.1)],
+                         ids=["dict", "none", "tuple"])
+def test_params_must_be_model_params(bad):
+    # checked first: simulate's n = 1 would fail its length check after
+    message = f"params must be a ModelParams, got {bad!r}"
+    for call in (lambda: ardw.limit_summary(bad),
+                 lambda: ardw.lyapunov_lambda_oracle(bad, 5),
+                 lambda: ardw.simulate(bad, 1),
+                 lambda: ardw.clt_diagnostic(bad, 50, 10),
+                 lambda: ardw.rate_diagnostic(bad, 2000)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestBetaAlpha:

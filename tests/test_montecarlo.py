@@ -181,7 +181,7 @@ class TestStudyConfig:
         ("noise", "gaussian", "noise must be a NoiseSpec, got 'gaussian'"),
         ("noise", None, "noise must be a NoiseSpec, got None"),
         ("params_list", ({"p": 1, "theta": [0.5], "rho": 0.0},),
-         "params_list entries must be ModelParams, got {'p': 1"),
+         "each params_list entry must be a ModelParams, got {'p': 1"),
     ], ids=["n_repeated", "test_repeated", "noise_str", "noise_none", "params_dict"])
     def test_bad_values_rejected(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

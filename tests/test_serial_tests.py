@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
 
 import ardw
-from ardw.errors import DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP
+from ardw.errors import (
+    DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP, RowErrors,
+)
 from ardw.estimators import FitResult, lag_matrix
 from ardw.montecarlo import StudyConfig
 from ardw.serial_tests import (
@@ -257,6 +261,31 @@ class TestRunTests:
         assert all(type(o.level) is float and o.level == 0.25 for o in outcomes)
         config = StudyConfig(params_list=(), n_list=(100,), level=np.float32(0.25))
         assert type(config.level) is float and config.level == 0.25
+
+    @pytest.mark.parametrize("names", ["dw_chi2", 5], ids=["string", "int"])
+    def test_names_must_be_a_list(self, names):
+        with pytest.raises(ValueError, match=f"^names must be a list, got {names!r}$"):
+            run_tests(np.ones(101), make_fit(), names=names)
+
+    @pytest.mark.parametrize("bad", [None, {"p": 1, "n": 100}, "fit", "block"],
+                             ids=["none", "dict", "string", "block"])
+    def test_fit_must_be_the_fit_result_of_one_series(self, bad):
+        if bad == "block":
+            x = np.ones((2, 101)) + np.arange(101.0) % 3
+            bad = ardw.fit(x, 1, RowErrors(2))
+        for call in (lambda: run_tests(np.ones(101), bad),
+                     lambda: dw_chi2_test(bad),
+                     lambda: durbin_h_test(bad)):
+            with pytest.raises(ValueError, match="^fit must be the FitResult of one series, got "):
+                call()
+
+    def test_x_must_have_the_shape_of_the_residuals(self):
+        x = ardw.simulate(params([0.5], 0.0), 100, seed=1).x
+        f = ardw.fit(x, 1)
+        for bad, shape in ((np.stack([x, x]), (2, 101)), (x[:10], (10,)), (x[0], ())):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"x must have shape (101,), the shape of the fit's residuals, got {shape}")):
+                run_tests(bad, f)
 
     def test_unknown_name_same_message_as_study_config(self):
         with pytest.raises(ValueError) as one:
