@@ -32,8 +32,7 @@ _DEFERRED = {
     "montecarlo": ("DEFAULT_SUITE", "PowerTable", "StudyConfig", "clt_diagnostic",
                    "rate_diagnostic", "size_power_study"),
     "serial_tests": ("TestOutcome", "chi2_quantile", "chi2_sf", "durbin_h_test",
-                     "dw_chi2_test", "normal_quantile", "normal_sf", "outcomes_to_csv",
-                     "run_tests"),
+                     "dw_chi2_test", "normal_sf", "outcomes_to_csv", "run_tests"),
 }
 
 # every public name, and no submodule

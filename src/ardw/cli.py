@@ -29,12 +29,8 @@ from .simulate import _FAMILIES, NoiseSpec, simulate
 from .text import json_text
 
 
-def _parse_theta(text: str) -> np.ndarray:
-    return np.array([float(t) for t in text.split(",") if t.strip() != ""])
-
-
 def _params_from_args(args) -> ModelParams:
-    theta = _parse_theta(args.theta)
+    theta = np.array([float(t) for t in args.theta.split(",") if t.strip() != ""])
     return ModelParams(
         p=len(theta), theta=theta, rho=args.rho,
         sigma2=getattr(args, "sigma2", 1.0),
@@ -138,14 +134,6 @@ def _result_text(args) -> str:
     return json_text(rate_diagnostic(params, args.n, seed=args.seed))
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write text to the output file if one is given, else to stdout."""
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
-
-
 def run(argv: list[str] | None = None) -> int:
     error = None
     with warnings.catch_warnings(record=True) as caught:  # the filters stay as they are
@@ -156,8 +144,10 @@ def run(argv: list[str] | None = None) -> int:
                 noise = NoiseSpec(family=args.noise, sigma2=args.sigma2, df=args.df)
                 simulate(params, args.n, noise=noise, seed=args.seed,
                          burn_in=args.burn_in).to_csv(args.output)
+            elif getattr(args, "output", None) is None:
+                sys.stdout.write(_result_text(args))
             else:
-                _emit(_result_text(args), getattr(args, "output", None))
+                Path(args.output).write_text(_result_text(args))
         except SystemExit:  # --help; every parse error raises ValueError
             pass
         except (ArdwError, MemoryError, OSError, ValueError, Warning) as exc:

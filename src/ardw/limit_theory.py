@@ -116,6 +116,7 @@ def _check_array(name: str, a, ndim: int) -> np.ndarray:
 
 def check_stability(params: ModelParams) -> None:
     """Validate the open stability region and basic parameter sanity."""
+    _check_params(params)
     if not np.all(np.isfinite([*params.theta, params.rho, params.sigma2])):
         raise ValueError("parameters must be finite")
     norm1 = np.linalg.norm(params.theta, 1)
@@ -131,12 +132,14 @@ def check_stability(params: ModelParams) -> None:
 
 def beta_vector(params: ModelParams) -> np.ndarray:
     """Combined coefficient vector: (theta_1 + rho, theta_2 - theta_1 rho, ...)."""
+    _check_params(params)
     theta, rho = params.theta.tolist(), params.rho
     return np.array([theta[0] + rho, *(t - rho * s for t, s in zip(theta[1:], theta))])
 
 
 def alpha_scalar(params: ModelParams) -> float:
     """Normalization 1 / (1 - (theta_p rho)^2), finite on the stability region."""
+    _check_params(params)
     tpr = float(params.theta[-1]) * params.rho
     return 1.0 / ((1.0 - tpr) * (1.0 + tpr))
 
@@ -234,8 +237,9 @@ def _toeplitz_delta(lam: np.ndarray, m: int) -> np.ndarray:
 
 def companion_matrix(params: ModelParams) -> np.ndarray:
     """Companion form of the combined (p+1)-order recursion on the observations."""
+    beta = beta_vector(params)
     C = np.eye(params.p + 1, k=-1)
-    C[0, :-1] = beta_vector(params)
+    C[0, :-1] = beta
     C[0, -1] = -(params.theta[-1] * params.rho)
     return C
 
@@ -319,9 +323,8 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     solve residual passes. Scalars are Python floats, same bits as float64.
     A params that is not a ModelParams raises ValueError.
     """
-    _check_params(params)
+    alpha = alpha_scalar(params)  # checks params first
     p = params.p
-    alpha = alpha_scalar(params)
     beta = beta_vector(params)
     tpr = float(params.theta[-1]) * params.rho
 

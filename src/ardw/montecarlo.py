@@ -148,8 +148,11 @@ def size_power_study(config: StudyConfig, workers: int = 1) -> PowerTable:
     are summed. Each (params, n) cell is one task per worker, task w taking
     the replications range(w, reps, workers). workers > 1 runs the tasks on
     one process pool for the whole study, of at most os.cpu_count()
-    processes; workers must be an integer >= 1, or ValueError.
+    processes. config must be a StudyConfig and workers an integer >= 1, or
+    ValueError.
     """
+    if not isinstance(config, StudyConfig):
+        raise ValueError(f"config must be a StudyConfig, got {config!r}")
     workers = min(_check_integer("workers", workers, 1), os.cpu_count() or 1)
     grid = list(product(range(len(config.params_list)), config.n_list))
     tasks = [(config, params_id, n, range(w, config.reps, workers))

@@ -47,16 +47,9 @@ def chi2_quantile(q: float) -> float:
     the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1)."""
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
-    return normal_quantile(0.5 * (1.0 - q)) ** 2
-
-
-def normal_quantile(q: float) -> float:
-    """Standard normal (q)-quantile."""
-    if not 0.0 < q < 1.0:
-        raise DomainError("quantile level must be in (0, 1)")
     from statistics import NormalDist  # fractions and decimal, on first use only
 
-    return NormalDist().inv_cdf(q)
+    return NormalDist().inv_cdf(0.5 * (1.0 - q)) ** 2
 
 
 @dataclass(frozen=True)
@@ -174,18 +167,22 @@ def _check_level(level) -> float:
     return level
 
 
-@np.errstate(all="ignore")
-def _one(name: str, level: float, x, fit: FitResult, errors: RowErrors = SERIES) -> TestOutcome:
-    """The outcome of the named test on one series. With SERIES its error
-    raises; with a one-series record, RowErrors(()), the test is reported
-    inapplicable with the error's type. A fit that is not the FitResult of
-    one series, or an x (if not None) of another shape than its residuals,
-    raises ValueError."""
+def _check_fit(fit, x=None) -> FitResult:
+    """fit, unless it is not the FitResult of one series or x (if not None)
+    has another shape than its residuals: then ValueError."""
     if not (isinstance(fit, FitResult) and fit.residuals.ndim == 1):
         raise ValueError(f"fit must be the FitResult of one series, got {fit!r}")
     if x is not None and np.shape(x) != fit.residuals.shape:
         raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
                          f"fit's residuals, got {np.shape(x)}")
+    return fit
+
+
+@np.errstate(all="ignore")
+def _one(name: str, level: float, x, fit: FitResult, errors: RowErrors = SERIES) -> TestOutcome:
+    """The outcome of the named test on one series. With SERIES its error
+    raises; with a one-series record, RowErrors(()), the test is reported
+    inapplicable with the error's type."""
     stat, p_value, notes = _TESTS[name](x, fit, errors)
     if errors.failed:
         stat = p_value = math.nan
@@ -203,7 +200,7 @@ def dw_chi2_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     p-th coefficient to be away from zero. A level that is not a real
     number in (0, 1) raises ValueError.
     """
-    return _one("dw_chi2", _check_level(level), None, fit)
+    return _one("dw_chi2", _check_level(level), None, _check_fit(fit))
 
 
 def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
@@ -213,7 +210,7 @@ def durbin_h_test(fit: FitResult, level: float = 0.05) -> TestOutcome:
     classical failure mode of the test on short series, or is undefined (NaN).
     A level that is not a real number in (0, 1) raises ValueError.
     """
-    return _one("durbin_h", _check_level(level), None, fit)
+    return _one("durbin_h", _check_level(level), None, _check_fit(fit))
 
 
 def run_tests(
@@ -227,12 +224,13 @@ def run_tests(
     outcome_masks, is reported as an outcome with the warnings
     ("inapplicable", error type) rather than aborting the batch.
 
-    An unknown test name, names given as a string, or a level that is not
-    a real number in (0, 1), raises ValueError before any test runs; so
-    does, as the first test starts, a fit or an x that _one rejects.
+    An unknown test name, names given as a string, a level that is not a
+    real number in (0, 1), or a fit or an x that _check_fit rejects, raises
+    ValueError before any test runs, whatever the names.
     """
     _check_names(names)
     level = _check_level(level)
+    _check_fit(fit, x)
     return [_one(name, level, x, fit, RowErrors(())) for name in names]
 
 

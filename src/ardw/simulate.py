@@ -86,7 +86,8 @@ class Trajectory:
     V_0..V_n where V_0 only feeds the initial noise value. noise is the spec
     the innovations were drawn with; None stands for simulate's default,
     gaussian with the model's sigma2. A tuple seed (as in studies) is stored
-    as a list in the JSON sidecar and read back as a tuple.
+    as a list in the JSON sidecar and read back as a tuple. A params that is
+    not a ModelParams raises ValueError.
     """
 
     x: np.ndarray
@@ -98,6 +99,7 @@ class Trajectory:
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
+        _check_params(self.params)
         object.__setattr__(self, "noise", _noise(self.params, self.noise))
 
     def to_csv(self, path: str | Path) -> None:

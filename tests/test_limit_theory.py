@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import re
 import warnings
 
@@ -137,14 +138,21 @@ class TestStability:
                          ids=["dict", "none", "tuple"])
 def test_params_must_be_model_params(bad):
     # checked first: simulate's n = 1 would fail its length check after
+    rest = {"check_stability": (), "beta_vector": (), "alpha_scalar": (), "build_B": (),
+            "companion_matrix": (), "limit_summary": (), "lyapunov_lambda_oracle": (5,),
+            "simulate": (1,), "clt_diagnostic": (50, 10), "rate_diagnostic": (2000,)}
+    # every exported function whose first parameter is a ModelParams is here
+    assert sorted(rest) == [
+        name for name in ardw.__all__ if inspect.isfunction(fn := getattr(ardw, name))
+        and [*inspect.signature(fn).parameters.values()][0].annotation
+        in ("ModelParams", ardw.ModelParams)]
     message = f"params must be a ModelParams, got {bad!r}"
-    for call in (lambda: ardw.limit_summary(bad),
-                 lambda: ardw.lyapunov_lambda_oracle(bad, 5),
-                 lambda: ardw.simulate(bad, 1),
-                 lambda: ardw.clt_diagnostic(bad, 50, 10),
-                 lambda: ardw.rate_diagnostic(bad, 2000)):
+    for name, args in rest.items():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call()
+            getattr(ardw, name)(bad, *args)
+    x = np.zeros(3)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ardw.Trajectory(x=x, eps=x, v=x, params=bad, seed=0)
 
 
 class TestBetaAlpha:

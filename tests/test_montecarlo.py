@@ -296,6 +296,12 @@ class TestSizePowerStudy:
         with pytest.raises(ValueError, match="workers must be an integer"):
             ardw.size_power_study(small_config(reps=100), workers=workers)
 
+    @pytest.mark.parametrize("config", ["cfg", None, {"reps": 100}], ids=["str", "none", "dict"])
+    def test_config_must_be_a_study_config(self, config):
+        message = f"config must be a StudyConfig, got {config!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ardw.size_power_study(config)
+
     def test_numpy_integer_workers_and_seed_stored_as_int(self, monkeypatch):
         sizes = serial_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -16,7 +16,6 @@ from ardw.serial_tests import (
     chi2_sf,
     durbin_h_test,
     dw_chi2_test,
-    normal_quantile,
     normal_sf,
     outcome_masks,
     run_tests,
@@ -54,20 +53,14 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(ardw.__all__)
     assert all(namespace[name] is getattr(ardw, name) for name in ardw.__all__)
-    for name in ("box_pierce_test", "ljung_box_test", "breusch_godfrey_test"):
+    for name in ("box_pierce_test", "ljung_box_test", "breusch_godfrey_test",
+                 "normal_quantile"):
         assert not hasattr(ardw, name) and not hasattr(ardw.serial_tests, name)
 
 
 class TestDistributionUtilities:
     def test_chi2_quantile_95(self):
         assert chi2_quantile(0.95) == pytest.approx(3.841458820694124, abs=1e-6)
-
-    def test_normal_quantile_975(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-6)
-
-    def test_normal_quantile_symmetry(self):
-        assert normal_quantile(0.1) == pytest.approx(-normal_quantile(0.9), abs=1e-9)
-        assert normal_quantile(0.5) == 0.0
 
     def test_chi2_sf_against_scipy(self):
         for x in [0.01, 0.5, 1.0, 2.0, 3.84, 7.0, 15.0, 30.0]:
@@ -82,9 +75,6 @@ class TestDistributionUtilities:
             assert chi2_quantile(q) == pytest.approx(
                 scipy.stats.chi2.ppf(q, 1), abs=1e-6
             )
-            assert normal_quantile(q) == pytest.approx(
-                scipy.stats.norm.ppf(q), abs=1e-6
-            )
 
     def test_chi2_quantile_near_one(self):
         for q in (1.0 - 1e-12, np.nextafter(1.0, 0.0)):
@@ -97,8 +87,6 @@ class TestDistributionUtilities:
             chi2_sf(-1.0)
         with pytest.raises(DomainError):
             chi2_quantile(1.0)
-        with pytest.raises(DomainError):
-            normal_quantile(0.0)
 
 
 class TestDwChi2:
@@ -274,6 +262,7 @@ class TestRunTests:
             x = np.ones((2, 101)) + np.arange(101.0) % 3
             bad = ardw.fit(x, 1, RowErrors(2))
         for call in (lambda: run_tests(np.ones(101), bad),
+                     lambda: run_tests(np.ones(101), bad, names=()),
                      lambda: dw_chi2_test(bad),
                      lambda: durbin_h_test(bad)):
             with pytest.raises(ValueError, match="^fit must be the FitResult of one series, got "):
@@ -283,9 +272,10 @@ class TestRunTests:
         x = ardw.simulate(params([0.5], 0.0), 100, seed=1).x
         f = ardw.fit(x, 1)
         for bad, shape in ((np.stack([x, x]), (2, 101)), (x[:10], (10,)), (x[0], ())):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"x must have shape (101,), the shape of the fit's residuals, got {shape}")):
-                run_tests(bad, f)
+            message = f"x must have shape (101,), the shape of the fit's residuals, got {shape}"
+            for names in (TEST_NAMES, ()):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    run_tests(bad, f, names=names)
 
     def test_unknown_name_same_message_as_study_config(self):
         with pytest.raises(ValueError) as one:
