@@ -9,6 +9,7 @@ h-statistic collapse to a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -78,13 +79,18 @@ def _check_rows(name: str, x: np.ndarray, rows: tuple) -> None:
         raise ValueError(f"{name} must have shape ({want}), got {x.shape}")
 
 
-def lag_matrix(x: np.ndarray, p: int) -> np.ndarray:
+def lag_matrix(x: np.ndarray, p: int, column: np.ndarray | None = None) -> np.ndarray:
     """Rows are the lag vectors (X_j, X_{j-1}, ..., X_{j-p+1}) for j = 0..n-1,
-    with zeros standing in for pre-sample indices."""
+    with zeros standing in for pre-sample indices, and, if column (n values
+    per series) is given, one more entry: column[j]. Only the pre-sample
+    triangle is zero-filled; the result is C-contiguous."""
     n = x.shape[-1] - 1
-    L = np.zeros((*x.shape[:-1], n, p))
+    L = np.empty((*x.shape[:-1], n, p + (column is not None)))
     for i in range(p):
-        L[..., i:, i] = x[..., : n - i]
+        L[..., :i, i] = 0.0
+        L[..., i:, i] = x[..., : max(n - i, 0)]
+    if column is not None:
+        L[..., p] = column
     return L
 
 
@@ -99,7 +105,11 @@ def ols_theta(x: np.ndarray, p: int,
     row of errors, raises ValueError, and a series shorter than p+2
     SingularDesign; on a block these three raise for the whole block.
     """
-    x = np.asarray(x, dtype=float)
+    return _ols(np.asarray(x, dtype=float), p, errors)[:2]
+
+
+def _ols(x: np.ndarray, p: int, errors: RowErrors):
+    """ols_theta's (theta_hat, S) and the lag matrix L they were solved from."""
     _check_integer("p", p, 1)
     _check_rows("x", x, errors.failed.shape)
     big = ~(np.abs(x) < 1e150).all(axis=-1)  # squares and their sums stay finite
@@ -117,19 +127,27 @@ def ols_theta(x: np.ndarray, p: int,
     bound = 1e-10 * np.maximum(np.abs(rhs).max(axis=(-2, -1)), 1.0)
     errors.add(resid > bound, SingularDesign,
                lambda i: f"normal equations residual too large: {resid[i]:.3g}")
-    return theta_hat[..., 0], S
+    return theta_hat[..., 0], S, L
 
 
 def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
     """Residual series with the convention that the first residual is X_0.
-    x must hold one series for each row of theta_hat, or ValueError."""
+    x must hold one series for each row of theta_hat, and theta_hat must be
+    finite, or ValueError."""
     x = np.asarray(x, dtype=float)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     _check_rows("x", x, theta_hat.shape[:-1])
+    if not np.isfinite(theta_hat).all():
+        raise ValueError(f"theta_hat must be finite, got {theta_hat}")
+    # the lag matrix is freed once its product is formed, before eps
+    return _residuals(x, lag_matrix(x, theta_hat.shape[-1]) @ theta_hat[..., None])
+
+
+def _residuals(x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """x less fitted, the (..., n, 1) product L @ theta_hat, with X_0 first."""
     eps = np.empty_like(x)
     eps[..., 0] = x[..., 0]
-    L = lag_matrix(x, theta_hat.shape[-1])
-    np.subtract(x[..., 1:], (L @ theta_hat[..., None])[..., 0], out=eps[..., 1:])
+    np.subtract(x[..., 1:], fitted[..., 0], out=eps[..., 1:])
     return eps
 
 
@@ -149,19 +167,26 @@ def _residual_energy(eps: np.ndarray, errors: RowErrors) -> np.ndarray:
     return energy
 
 
+def _dw(eps: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """The Durbin-Watson ratio of eps, given its energy eps . eps."""
+    d = np.diff(eps)
+    return _dot(d, d) / energy
+
+
 def dw_statistic(eps: np.ndarray, errors: RowErrors = SERIES):
     """Durbin-Watson ratio; always in [0, 4]."""
     eps = np.asarray(eps, dtype=float)
     _check_rows("eps", eps, errors.failed.shape)
-    d = np.diff(eps)
-    return _dot(d, d) / _residual_energy(eps, errors)
+    return _dw(eps, _residual_energy(eps, errors))
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Everything the serial-correlation tests need from one series. From a
     block, each field but p and n holds one entry per row, and warnings is
-    empty."""
+    empty. The lag-1 residual autocorrelation the portmanteau tests share is
+    derived once per result, on first use, and is not a field, so to_dict
+    does not hold it."""
 
     p: int
     n: int
@@ -176,20 +201,40 @@ class FitResult:
     def to_dict(self) -> dict:
         return record_dict(self, drop=("residuals",))
 
+    @cached_property
+    def _r1_squared(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r1^2, zero-energy mask): the squared lag-1 autocorrelation
+        eps_1..n . eps_0..n-1 / eps . eps of the residuals, and where its
+        denominator is zero."""
+        eps = self.residuals
+        energy = _dot(eps, eps)
+        return np.float_power(_dot(eps[..., 1:], eps[..., :-1]) / energy, 2), energy <= 0.0
+
 
 @np.errstate(all="ignore")
 def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
     """Full estimation pipeline for one observed series. sigma2_hat is NaN
     when theta_hat_p is numerically zero and may be negative on short series
     (only its limit is guaranteed); a note in warnings flags either case.
-    A row of a block with an error holds meaningless values."""
+    A row of a block with an error holds meaningless values.
+
+    One pass per quantity: the residuals are formed from the lag matrix that
+    theta_hat was solved from, and eps . eps serves both dw and sigma2_hat.
+    Every value has the bits of ols_theta, residuals, ols_rho and
+    dw_statistic called in turn.
+    """
     x = np.asarray(x, dtype=float)
-    theta_hat, S = ols_theta(x, p, errors)
+    theta_hat, S, L = _ols(x, p, errors)
     n = x.shape[-1] - 1
-    eps = residuals(x, theta_hat)
+    # eps is allocated while L and L @ theta_hat live: the heap they free then
+    # lies below it in one piece, where Breusch-Godfrey's one column wider
+    # matrix fits (freeing L first raised long_path's peak RSS by 23 MB)
+    eps = _residuals(x, L @ theta_hat[..., None])
+    del L
     rho_hat = ols_rho(eps, errors)
-    dw = dw_statistic(eps, errors)
-    mean_sq = _dot(eps, eps) / n
+    energy = _residual_energy(eps, errors)
+    dw = _dw(eps, energy)
+    mean_sq = energy / n
     tp = theta_hat[..., -1]
     near_zero = np.abs(tp) <= NEAR_ZERO_THETA_P
     s2 = np.where(near_zero, np.nan, (1.0 - rho_hat * rho_hat / (tp * tp)) * mean_sq)[()]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    SERIES, DomainError, InapplicableH, NearZeroThetaP, RowErrors, SingularAuxiliaryRegression,
+    SERIES, DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP, RowErrors,
+    SingularAuxiliaryRegression,
 )
 from .estimators import (
     NEAR_ZERO_THETA_P, FitResult, _checked_solve, _dot, _residual_energy, lag_matrix,
@@ -30,8 +31,17 @@ def _erfc(x):
     return np.asarray(_math_erfc(x), dtype=float)[()]
 
 
+def _statistic(x) -> np.ndarray:
+    """x as an array; anything but a real number or array raises ValueError."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"statistic must be a real number or array, got {x!r}")
+    return a
+
+
 def chi2_sf(x):
     """Upper tail of the chi-square distribution with one degree of freedom."""
+    x = _statistic(x)
     if np.any(x < 0.0):
         raise DomainError("chi-square statistic must be nonnegative")
     return _erfc(np.sqrt(x / 2.0))
@@ -39,12 +49,14 @@ def chi2_sf(x):
 
 def normal_sf(x):
     """Upper tail of the standard normal distribution."""
-    return 0.5 * _erfc(x / math.sqrt(2.0))
+    return 0.5 * _erfc(_statistic(x) / math.sqrt(2.0))
 
 
 def chi2_quantile(q: float) -> float:
     """(q)-quantile of the one-degree chi-square distribution: the square of
-    the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1)."""
+    the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1).
+    A q that is not a real number raises ValueError."""
+    q = _check_real("q", q)
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     from statistics import NormalDist  # fractions and decimal, on first use only
@@ -94,27 +106,28 @@ def _durbin_h(x, fit, errors: RowErrors):
     return h, 2.0 * normal_sf(np.abs(h)), [(w, True) for w in fit.warnings]
 
 
-def _r1_squared(eps: np.ndarray, errors: RowErrors):
-    r1 = _dot(eps[..., 1:], eps[..., :-1]) / _residual_energy(eps, errors)
-    return np.float_power(r1, 2)
+def _r1_squared(fit, errors: RowErrors):
+    """The fit's r1^2, derived once per FitResult and shared by both
+    portmanteau tests, each adding its zero-energy rows to its own errors."""
+    r1_squared, zero = fit._r1_squared
+    errors.add(zero, DegenerateResiduals, "zero residual energy")
+    return r1_squared
 
 
 def _box_pierce(x, fit, errors: RowErrors):
-    eps = fit.residuals
-    stat = eps.shape[-1] * _r1_squared(eps, errors)
+    stat = fit.residuals.shape[-1] * _r1_squared(fit, errors)
     return stat, chi2_sf(stat), []
 
 
 def _ljung_box(x, fit, errors: RowErrors):
     n = fit.residuals.shape[-1]
-    stat = n * (n + 2.0) * _r1_squared(fit.residuals, errors) / (n - 1.0)
+    stat = n * (n + 2.0) * _r1_squared(fit, errors) / (n - 1.0)
     return stat, chi2_sf(stat), []
 
 
 def _breusch_godfrey(x, fit, errors: RowErrors):
-    # n R^2 on the lag vector and, in one more column, the zero-padded lagged residual
-    Z = lag_matrix(np.asarray(x, dtype=float), fit.p + 1)
-    Z[..., fit.p] = fit.residuals[..., :-1]
+    # n R^2 on the lag vector and, in one more column, the lagged residual
+    Z = lag_matrix(np.asarray(x, dtype=float), fit.p, fit.residuals[..., :-1])
     y = fit.residuals[..., 1:]
     tss = _residual_energy(y, errors)
     Zt = Z.swapaxes(-1, -2)
@@ -167,14 +180,10 @@ def _check_level(level) -> float:
     return level
 
 
-def _check_fit(fit, x=None) -> FitResult:
-    """fit, unless it is not the FitResult of one series or x (if not None)
-    has another shape than its residuals: then ValueError."""
+def _check_fit(fit) -> FitResult:
+    """fit, unless it is not the FitResult of one series: then ValueError."""
     if not (isinstance(fit, FitResult) and fit.residuals.ndim == 1):
         raise ValueError(f"fit must be the FitResult of one series, got {fit!r}")
-    if x is not None and np.shape(x) != fit.residuals.shape:
-        raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
-                         f"fit's residuals, got {np.shape(x)}")
     return fit
 
 
@@ -225,18 +234,26 @@ def run_tests(
     ("inapplicable", error type) rather than aborting the batch.
 
     An unknown test name, names given as a string, a level that is not a
-    real number in (0, 1), or a fit or an x that _check_fit rejects, raises
+    real number in (0, 1), a fit that is not the FitResult of one series, or
+    an x (None included) of another shape than the fit's residuals, raises
     ValueError before any test runs, whatever the names.
     """
     _check_names(names)
     level = _check_level(level)
-    _check_fit(fit, x)
+    if np.shape(x) != _check_fit(fit).residuals.shape:
+        raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
+                         f"fit's residuals, got {np.shape(x)}")
     return [_one(name, level, x, fit, RowErrors(())) for name in names]
 
 
 def outcomes_to_csv(outcomes: list[TestOutcome]) -> str:
+    """One CSV line per outcome; anything but a list of TestOutcome raises
+    ValueError."""
+    rows = list(outcomes) if np.iterable(outcomes) else None
+    if rows is None or not all(isinstance(o, TestOutcome) for o in rows):
+        raise ValueError(f"outcomes must be a list of TestOutcome, got {outcomes!r}")
     return csv_text(
         ("name", "statistic", "p_value", "reject", "warnings"),
         ((o.name, o.statistic, o.p_value, int(o.reject), ";".join(o.warnings))
-         for o in outcomes),
+         for o in rows),
     )

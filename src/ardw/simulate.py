@@ -55,13 +55,17 @@ class NoiseSpec:
     def draw(self, rng: np.random.Generator | list, size: int | tuple[int, int]) -> np.ndarray:
         """Centered innovations with variance exactly sigma2: size of them from
         one generator, or from a list of generators a block of shape
-        size = (len(rng), m) whose row i is what rng[i] alone draws for m."""
+        size = (len(rng), m) whose row i is what rng[i] alone draws for m.
+        An rng that is neither a Generator nor a list of them raises ValueError."""
         block, family = isinstance(rng, list), self.family
+        rngs = rng if block else [rng]
+        if not all(isinstance(g, np.random.Generator) for g in rngs):
+            raise ValueError(f"rng must be a numpy Generator or a list of them, got {rng!r}")
         out = np.empty(size if block else (1, size))
         m, a = out.shape[1], np.sqrt(3.0 * self.sigma2)
         # each row draws into its place (a gaussian row without a temporary),
         # then one affine map scales the block with the operations of one row
-        for row, g in zip(out, rng if block else [rng]):
+        for row, g in zip(out, rngs):
             if family == "gaussian":
                 g.standard_normal(out=row)
             else:
@@ -70,7 +74,8 @@ class NoiseSpec:
                           g.integers(0, 2, m))
         s = np.sqrt(self.sigma2)
         if family == "gaussian":
-            out *= s
+            if s != 1.0:  # x * 1.0 is x, bit for bit
+                out *= s
         elif family == "student_t":
             out *= s / np.sqrt(self.df / (self.df - 2.0))
         elif family == "rademacher":

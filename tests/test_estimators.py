@@ -227,9 +227,16 @@ class TestResiduals:
         with pytest.raises(ValueError, match=message):
             ardw.residuals(x, theta_hat)
 
+    @pytest.mark.parametrize("theta_hat", [None, [np.nan], [np.inf], [0.5, -np.inf]],
+                             ids=["none", "nan", "inf", "minus_inf"])
+    def test_theta_hat_must_be_finite(self, theta_hat):
+        with pytest.raises(ValueError, match="^theta_hat must be finite, got "):
+            ardw.residuals(np.arange(101.0), theta_hat)
+
     def test_peak_is_the_lags_and_their_product(self):
-        # in path lengths of 8(n+1) bytes, at p = 3: eps, the three lag
-        # columns and L @ theta read 5.00; a temporary difference read 6.00
+        # in path lengths of 8(n+1) bytes, at p = 3: the three lag columns
+        # and L @ theta read 4.00, as the lag matrix is freed before eps is
+        # allocated; with it alive, 5.00; with a temporary difference, 6.00
         n = 200_000
         x = ardw.simulate(params([0.3, -0.2, 0.25], 0.2), n, seed=1).x
         theta = np.array([0.3, -0.2, 0.25])
@@ -239,7 +246,35 @@ class TestResiduals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.2 * 8 * (n + 1)
+        assert peak <= 4.2 * 8 * (n + 1)
+
+
+def zero_filled_lag_matrix(x, p, column=None):
+    """The reference lag matrix: zeros, each lag column written over them,
+    then the extra column if given."""
+    n = x.shape[-1] - 1
+    L = np.zeros((*x.shape[:-1], n, p + (column is not None)))
+    for i in range(min(p, n)):
+        L[..., i:, i] = x[..., : n - i]
+    if column is not None:
+        L[..., p] = column
+    return L
+
+
+class TestLagMatrix:
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("extra", [False, True], ids=["lags", "lags_and_column"])
+    @pytest.mark.parametrize("rows", [0, 3], ids=["series", "block"])
+    def test_bytes_equal_the_zero_filled_reference(self, p, extra, rows):
+        # the pre-sample triangle alone is zero-filled; every entry, and the
+        # layout, is the reference's, on series longer and shorter than p
+        rng = np.random.default_rng(p)
+        for length in (1, 2, 3, p, p + 1, p + 2, 60):
+            x = rng.standard_normal((rows, length) if rows else length)
+            column = rng.standard_normal((*x.shape[:-1], length - 1)) if extra else None
+            got, want = lag_matrix(x, p, column), zero_filled_lag_matrix(x, p, column)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 def operand(rng, shape, strided):
@@ -432,6 +467,59 @@ class TestFit:
         assert f.residuals == pytest.approx(eps)
         assert f.rho_hat == pytest.approx(ardw.ols_rho(eps))
         assert f.dw == pytest.approx(ardw.dw_statistic(eps))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [0, 7], ids=["series", "block"])
+    def test_values_have_the_bits_of_the_public_steps(self, p, rows):
+        # fit forms its residuals from the lag matrix theta_hat was solved
+        # from and one eps . eps for dw and sigma2_hat: the same bits as
+        # ols_theta, residuals, ols_rho and dw_statistic called in turn
+        prm = ardw.DEFAULT_SUITE[-1] if p == 3 else params([0.3] + [0.1] * (p - 1), 0.2)
+        seeds = range(rows) if rows else [0]
+        x = np.stack([ardw.simulate(prm, 400, seed=s).x for s in seeds])
+        if not rows:
+            x = x[0]
+        errors = RowErrors(rows) if rows else SERIES
+        f = ardw.fit(x, p, errors)
+        assert not np.any(errors.failed)
+        theta_hat, _ = ardw.ols_theta(x, p, errors)
+        eps = ardw.residuals(x, theta_hat)
+        assert f.theta_hat.tobytes() == theta_hat.tobytes()
+        assert f.residuals.tobytes() == eps.tobytes()
+        assert f.residuals.tobytes() == ardw.residuals(x, f.theta_hat).tobytes()
+        assert np.asarray(f.rho_hat).tobytes() == np.asarray(ardw.ols_rho(eps, errors)).tobytes()
+        assert np.asarray(f.dw).tobytes() == np.asarray(ardw.dw_statistic(eps, errors)).tobytes()
+        tp, rho = theta_hat[..., -1], ardw.ols_rho(eps, errors)
+        s2 = (1.0 - rho * rho / (tp * tp)) * (_dot(eps, eps) / 400)
+        assert np.asarray(f.sigma2_hat).tobytes() == np.asarray(s2).tobytes()
+
+    def test_block_row_that_fails_keeps_the_others(self):
+        # the residuals of a failed row come from its NaN estimate, which the
+        # public residuals would refuse; the other rows are fitted as alone
+        x = np.stack([np.zeros(101), ardw.simulate(STANDARD, 100, seed=4).x])
+        errors = RowErrors(2)
+        f = ardw.fit(x, 2, errors)
+        assert errors.failed.tolist() == [True, False]
+        assert np.isnan(f.theta_hat[0]).all()
+        assert f.residuals[1].tobytes() == ardw.fit(x[1], 2).residuals.tobytes()
+
+    def test_peak_is_the_lags_their_product_and_eps(self):
+        # per step at p = 3: the three lag columns, L @ theta_hat and the
+        # residuals, 40 B; the lag matrix is built once. With a one-series
+        # run_tests on the result: the 8 B of the residuals kept and
+        # Breusch-Godfrey's four columns, 40 B
+        n = 100_000
+        x = ardw.simulate(params([0.3, -0.2, 0.25], 0.2), n, seed=1).x
+        for call, per_step in ((lambda: ardw.fit(x, 3), 40),
+                               (lambda: ardw.run_tests(x, ardw.fit(x, 3)), 40)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_step * n + 32 * 1024
 
     def test_negative_sigma2_flagged_not_clamped(self):
         # short series where the correction factor goes negative: the value

@@ -8,7 +8,7 @@ import ardw
 from ardw.errors import (
     DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP, RowErrors,
 )
-from ardw.estimators import FitResult, lag_matrix
+from ardw.estimators import FitResult, _dot, lag_matrix
 from ardw.montecarlo import StudyConfig
 from ardw.serial_tests import (
     TEST_NAMES,
@@ -88,6 +88,26 @@ class TestDistributionUtilities:
         with pytest.raises(DomainError):
             chi2_quantile(1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: chi2_quantile("0.5"), "q must be a real number, got '0.5'"),
+        (lambda: chi2_quantile(np.array([0.5, 0.9])), "q must be a real number, got array("),
+        (lambda: chi2_sf("x"), "statistic must be a real number or array, got 'x'"),
+        (lambda: normal_sf(None), "statistic must be a real number or array, got None"),
+        (lambda: ardw.outcomes_to_csv([1]), "outcomes must be a list of TestOutcome, got [1]"),
+        (lambda: ardw.outcomes_to_csv(None), "outcomes must be a list of TestOutcome, got None"),
+    ], ids=["quantile_str", "quantile_array", "chi2_sf_str", "normal_sf_none", "csv_int",
+            "csv_none"])
+    def test_malformed_arguments_raise_value_error(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message)
+
+    def test_tails_take_ints_and_arrays(self):
+        x = np.array([0.0, 1.0, 4.0])
+        assert chi2_sf(4) == chi2_sf(4.0)
+        assert chi2_sf(x).tobytes() == np.array([chi2_sf(v) for v in x]).tobytes()
+        assert normal_sf(-x).tobytes() == np.array([normal_sf(-v) for v in x]).tobytes()
+
 
 class TestDwChi2:
     def test_hand_value(self):
@@ -159,6 +179,33 @@ class TestPortmanteau:
         for o in portmanteau(np.zeros(10)):
             assert o.warnings == ("inapplicable", DegenerateResiduals.__name__)
             assert np.isnan(o.statistic) and not o.reject
+        # a block: each test records the shared zero-energy rows in its own errors
+        eps = np.stack([np.zeros(10), np.arange(10.0)])
+        masks = outcome_masks(eps, make_fit(n=9, residuals=eps), np.zeros(2, dtype=bool),
+                              0.05, ("box_pierce", "ljung_box"))
+        assert [m[1].tolist() for m in masks.values()] == [[True, False]] * 2
+
+    def test_r1_squared_is_derived_once_per_fit(self, monkeypatch):
+        # both tests read one r1^2, of the sums eps_1..n . eps_0..n-1 and
+        # eps . eps as _dot forms them; it is no field, so to_dict is unchanged
+        calls = []
+        prop = FitResult.__dict__["_r1_squared"]
+        func = prop.func
+        monkeypatch.setattr(prop, "func", lambda fit: calls.append(fit) or func(fit))
+        x = ardw.simulate(params([0.4, -0.3], 0.3), 300, seed=5).x
+        f = ardw.fit(x, 2)
+        bp, lb = run_tests(x, f, names=("box_pierce", "ljung_box"))
+        run_tests(x, f)
+        assert calls == [f]
+        eps = f.residuals
+        r1_squared = np.float_power(_dot(eps[1:], eps[:-1]) / _dot(eps, eps), 2)
+        assert bp.statistic == float(301 * r1_squared)
+        assert lb.statistic == float(301 * 303.0 * r1_squared / 300.0)
+        assert list(f.to_dict()) == ["p", "n", "theta_hat", "rho_hat", "sigma2_hat", "dw",
+                                     "var_theta1_hat", "warnings"]
+        block = ardw.fit(np.stack([x, x[::-1]]), 2, RowErrors(2))
+        outcome_masks(np.stack([x, x[::-1]]), block, np.zeros(2, dtype=bool), 0.05, TEST_NAMES)
+        assert calls == [f, block]
 
 
 class TestBreuschGodfrey:
@@ -271,7 +318,8 @@ class TestRunTests:
     def test_x_must_have_the_shape_of_the_residuals(self):
         x = ardw.simulate(params([0.5], 0.0), 100, seed=1).x
         f = ardw.fit(x, 1)
-        for bad, shape in ((np.stack([x, x]), (2, 101)), (x[:10], (10,)), (x[0], ())):
+        for bad, shape in ((np.stack([x, x]), (2, 101)), (x[:10], (10,)), (x[0], ()),
+                           (None, ())):
             message = f"x must have shape (101,), the shape of the fit's residuals, got {shape}"
             for names in (TEST_NAMES, ()):
                 with pytest.raises(ValueError, match=re.escape(message)):

@@ -170,6 +170,19 @@ class TestNoiseSpec:
         v = NoiseSpec(family="rademacher", sigma2=4.0).draw(rng, 1000)
         assert set(np.unique(v)) == {-2.0, 2.0}
 
+    def test_unit_gaussian_draws_are_the_raw_normals(self):
+        # sigma2 = 1 skips the scaling: x * 1.0 is x, bit for bit
+        want = derive_rng(3).standard_normal(50)
+        assert NoiseSpec().draw(derive_rng(3), 50).tobytes() == want.tobytes()
+        assert NoiseSpec().draw([derive_rng(3)], (1, 50))[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rng", [None, 3, [None], [derive_rng(1), "rng"]],
+                             ids=["none", "int", "list_of_none", "list_with_str"])
+    def test_rng_must_be_a_generator_or_a_list_of_them(self, rng):
+        size = (len(rng), 3) if isinstance(rng, list) else 3
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator or a list of them"):
+            NoiseSpec().draw(rng, size)
+
     def test_uniform_half_width_must_be_finite(self):
         # sqrt(3 sigma2) is the half-width of the uniform support
         with pytest.raises(ValueError, match=r"uniform noise needs sqrt\(3 sigma2\) finite"):
