@@ -27,7 +27,7 @@ for n in (200, 2000, 20_000, 200_000):
 # the moment estimate solves the sample Toeplitz system instead; its
 # first-coefficient variance satisfies an exact algebraic identity
 x = ardw.simulate(prm, 5000, seed=8).x
-theta_ls, _ = ardw.ols_theta(x, prm.p)
+theta_ls = ardw.fit(x, prm.p).theta_hat
 theta_yw, var1 = yule_walker_fit(x, prm.p)
 n = len(x) - 1
 print(f"\nleast squares  {np.round(theta_ls, 5).tolist()}")

@@ -94,22 +94,9 @@ def lag_matrix(x: np.ndarray, p: int, column: np.ndarray | None = None) -> np.nd
     return L
 
 
-def ols_theta(x: np.ndarray, p: int,
-              errors: RowErrors = SERIES) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares estimate of the autoregressive coefficients.
-
-    Returns (theta_hat, S) where S is the accumulated lag-vector Gram matrix.
-    A singular S raises SingularDesign, and a series value that is not
-    finite or has magnitude >= 1e150 ValueError. A p that is not an integer
-    >= 1, or an x that is not one series (without errors) or one row per
-    row of errors, raises ValueError, and a series shorter than p+2
-    SingularDesign; on a block these three raise for the whole block.
-    """
-    return _ols(np.asarray(x, dtype=float), p, errors)[:2]
-
-
 def _ols(x: np.ndarray, p: int, errors: RowErrors):
-    """ols_theta's (theta_hat, S) and the lag matrix L they were solved from."""
+    """fit's theta_hat, the Gram matrix S = L.T @ L it solves and the lag matrix
+    L; a series' theta_hat has the bits of np.linalg.solve(S, L.T @ x[1:, None])."""
     _check_integer("p", p, 1)
     _check_rows("x", x, errors.failed.shape)
     big = ~(np.abs(x) < 1e150).all(axis=-1)  # squares and their sums stay finite
@@ -128,19 +115,6 @@ def _ols(x: np.ndarray, p: int, errors: RowErrors):
     errors.add(resid > bound, SingularDesign,
                lambda i: f"normal equations residual too large: {resid[i]:.3g}")
     return theta_hat[..., 0], S, L
-
-
-def residuals(x: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
-    """Residual series with the convention that the first residual is X_0.
-    x must hold one series for each row of theta_hat, and theta_hat must be
-    finite, or ValueError."""
-    x = np.asarray(x, dtype=float)
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    _check_rows("x", x, theta_hat.shape[:-1])
-    if not np.isfinite(theta_hat).all():
-        raise ValueError(f"theta_hat must be finite, got {theta_hat}")
-    # the lag matrix is freed once its product is formed, before eps
-    return _residuals(x, lag_matrix(x, theta_hat.shape[-1]) @ theta_hat[..., None])
 
 
 def _residuals(x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
@@ -171,13 +145,6 @@ def _dw(eps: np.ndarray, energy: np.ndarray) -> np.ndarray:
     """The Durbin-Watson ratio of eps, given its energy eps . eps."""
     d = np.diff(eps)
     return _dot(d, d) / energy
-
-
-def dw_statistic(eps: np.ndarray, errors: RowErrors = SERIES):
-    """Durbin-Watson ratio; always in [0, 4]."""
-    eps = np.asarray(eps, dtype=float)
-    _check_rows("eps", eps, errors.failed.shape)
-    return _dw(eps, _residual_energy(eps, errors))
 
 
 @dataclass(frozen=True)
@@ -213,15 +180,19 @@ class FitResult:
 
 @np.errstate(all="ignore")
 def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
-    """Full estimation pipeline for one observed series. sigma2_hat is NaN
-    when theta_hat_p is numerically zero and may be negative on short series
-    (only its limit is guaranteed); a note in warnings flags either case.
-    A row of a block with an error holds meaningless values.
+    """Full estimation pipeline for one observed series, or for each row of
+    a block. sigma2_hat is NaN when theta_hat_p is numerically zero and may
+    be negative on short series (only its limit is guaranteed); a note in
+    warnings flags either case. A row of a block with an error holds
+    meaningless values. A p that is not an integer >= 1 or an x of the wrong
+    shape raises ValueError, and a series shorter than p+2 SingularDesign,
+    for a whole block; a value not finite or of magnitude >= 1e150 raises
+    ValueError, and a singular Gram matrix SingularDesign, for its row.
 
-    One pass per quantity: the residuals are formed from the lag matrix that
-    theta_hat was solved from, and eps . eps serves both dw and sigma2_hat.
-    Every value has the bits of ols_theta, residuals, ols_rho and
-    dw_statistic called in turn.
+    One pass per quantity: the residuals come from the lag matrix theta_hat
+    was solved from, and one eps . eps serves dw and sigma2_hat. Each value,
+    series by series, has the bits of numpy's solve of L.T @ L,
+    x[1:] - L @ theta_hat, ols_rho and d @ d / eps @ eps for d = np.diff(eps).
     """
     x = np.asarray(x, dtype=float)
     theta_hat, S, L = _ols(x, p, errors)

@@ -56,13 +56,16 @@ class NoiseSpec:
         """Centered innovations with variance exactly sigma2: size of them from
         one generator, or from a list of generators a block of shape
         size = (len(rng), m) whose row i is what rng[i] alone draws for m.
-        An rng that is neither a Generator nor a list of them raises ValueError."""
+        Any other rng or size raises ValueError."""
         block, family = isinstance(rng, list), self.family
         rngs = rng if block else [rng]
         if not all(isinstance(g, np.random.Generator) for g in rngs):
             raise ValueError(f"rng must be a numpy Generator or a list of them, got {rng!r}")
-        out = np.empty(size if block else (1, size))
-        m, a = out.shape[1], np.sqrt(3.0 * self.sigma2)
+        if block and not (isinstance(size, tuple) and len(size) == 2
+                          and _check_integer("rows", size[0]) == len(rng)):
+            raise ValueError(f"size must be the pair (len(rng), m), got {size!r}")
+        m = _check_integer("m" if block else "size", size[1] if block else size, 0)
+        out, a = np.empty((len(rngs), m)), np.sqrt(3.0 * self.sigma2)
         # each row draws into its place (a gaussian row without a temporary),
         # then one affine map scales the block with the operations of one row
         for row, g in zip(out, rngs):
@@ -92,7 +95,8 @@ class Trajectory:
     the innovations were drawn with; None stands for simulate's default,
     gaussian with the model's sigma2. A tuple seed (as in studies) is stored
     as a list in the JSON sidecar and read back as a tuple. A params that is
-    not a ModelParams raises ValueError.
+    not a ModelParams, or x, eps and v that are not 1-D float arrays of one
+    length, raises ValueError.
     """
 
     x: np.ndarray
@@ -105,6 +109,12 @@ class Trajectory:
 
     def __post_init__(self):
         _check_params(self.params)
+        paths = (self.x, self.eps, self.v)
+        if not (all(isinstance(a, np.ndarray) and a.dtype == float for a in paths)
+                and self.x.ndim == 1 and self.x.shape == self.eps.shape == self.v.shape):
+            got = ", ".join(f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}"
+                            for a in paths)
+            raise ValueError(f"x, eps and v must be 1-D float arrays of one length, got {got}")
         object.__setattr__(self, "noise", _noise(self.params, self.noise))
 
     def to_csv(self, path: str | Path) -> None:

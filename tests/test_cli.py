@@ -75,6 +75,13 @@ class TestLimits:
              "message": "two serial-correlation variance routes disagree (rel 0.000387)"},
         ]
 
+    def test_singular_system_matrix_exits_3(self, capsys):
+        assert run(["limits", "--theta", "0.5", "--rho", "0.9999999999999999"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "SingularB"
+        assert json.loads(err)["message"].startswith("system matrix numerically singular")
+
     def test_unstable_is_numerical_error(self, capsys):
         assert run(["limits", "--theta", "0.7,0.6", "--rho", "0.0"]) == 3
         err = json.loads(capsys.readouterr().err)

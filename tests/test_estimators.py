@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ardw
 from ardw.errors import SERIES, DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
-from ardw.estimators import _checked_solve, _dot, lag_matrix
+from ardw.estimators import _checked_solve, _dot, _dw, _residual_energy, lag_matrix
 
 
 def params(theta, rho, sigma2=1.0):
@@ -42,14 +42,26 @@ def brute_force_fit(x, p):
     return theta, eps, rho, dw, s2
 
 
+def numpy_fit(x, p):
+    """theta_hat, the residuals and the Durbin-Watson ratio of one series,
+    each written out with numpy's own solve, matmul and 1-D dot."""
+    L = lag_matrix(x, p)
+    theta = np.linalg.solve(L.T @ L, L.T @ x[1:, None])[:, 0]
+    eps = np.concatenate((x[:1], x[1:] - (L @ theta[:, None])[:, 0]))
+    d = np.diff(eps)
+    return theta, eps, float(d @ d) / float(eps @ eps)
+
+
 class TestOlsTheta:
+    """fit's least squares theta_hat."""
+
     def test_impulse_response_series(self):
         # single unit innovation at k=1, no serial correlation: the series is
         # the impulse response and the estimate must match the brute-force
         # normal equations exactly
         th = 0.5
         x = np.array([0.0] + [th**k for k in range(12)])
-        theta_hat, S = ardw.ols_theta(x, 1)
+        theta_hat = ardw.fit(x, 1).theta_hat
         bf_theta, *_ = brute_force_fit(x, 1)
         assert theta_hat == pytest.approx(bf_theta, rel=1e-12)
         # finite-sample value is exact here: all lag products line up
@@ -58,18 +70,18 @@ class TestOlsTheta:
     def test_white_noise_no_signal(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(20001)
-        theta_hat, _ = ardw.ols_theta(x, 1)
+        theta_hat = ardw.fit(x, 1).theta_hat
         assert abs(theta_hat[0]) < 3.0 / np.sqrt(20000)
 
     def test_consistency(self):
         limits = ardw.limit_summary(STANDARD)
         traj = ardw.simulate(STANDARD, 10**5, seed=0)
-        theta_hat, _ = ardw.ols_theta(traj.x, 2)
+        theta_hat = ardw.fit(traj.x, 2).theta_hat
         assert np.linalg.norm(theta_hat - limits.theta_star) < 0.01
 
     def test_singular_design(self):
         with pytest.raises(SingularDesign):
-            ardw.ols_theta(np.zeros(10), 1)
+            ardw.fit(np.zeros(10), 1)
 
     @pytest.mark.parametrize(
         "x, p, message",
@@ -89,9 +101,8 @@ class TestOlsTheta:
              "block_without_errors", "three_d"],
     )
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
-        # fit checks its input through ols_theta; yule_walker_fit checks p
-        # and the shape
-        calls = [ardw.ols_theta, ardw.fit]
+        # yule_walker_fit checks p and the shape as fit does
+        calls = [ardw.fit]
         if message != "finite":
             calls.append(ardw.yule_walker_fit)
         for call in calls:
@@ -189,64 +200,42 @@ class TestGate:
 
 
 class TestResiduals:
+    """fit's residuals, X_0 first."""
+
     def test_zero_estimator(self):
-        x = np.array([1.0, 2.0, -1.0])
-        np.testing.assert_allclose(ardw.residuals(x, np.array([0.0])), x)
+        # the lag-1 products of an alternating 0/1 series vanish, so
+        # theta_hat = 0 and the residuals are the series
+        x = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        f = ardw.fit(x, 1)
+        assert f.theta_hat[0] == 0.0
+        np.testing.assert_allclose(f.residuals, x)
 
     def test_hand_computation(self):
-        np.testing.assert_allclose(
-            ardw.residuals(np.array([1.0, 1.0, 1.0]), np.array([1.0])),
-            [1.0, 0.0, 0.0],
-        )
+        # a constant series: theta_hat = 1, so X_0 is the only residual
+        np.testing.assert_allclose(ardw.fit(np.ones(3), 1).residuals, [1.0, 0.0, 0.0])
 
     def test_reconstruction_identity(self):
         traj = ardw.simulate(STANDARD, 300, seed=2)
-        theta_hat, _ = ardw.ols_theta(traj.x, 2)
-        eps = ardw.residuals(traj.x, theta_hat)
+        f = ardw.fit(traj.x, 2)
         L = lag_matrix(traj.x, 2)
-        np.testing.assert_allclose(traj.x[1:], L @ theta_hat + eps[1:], atol=1e-12)
+        np.testing.assert_allclose(traj.x[1:], L @ f.theta_hat + f.residuals[1:], atol=1e-12)
 
     @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(0, 4), st.integers(6, 200))
     def test_matches_lag_matrix_product(self, seed, p, rows, n):
-        # bit for bit x[1:] - L @ theta, for one series (rows = 0) and a block
+        # bit for bit x[1:] - L @ theta_hat, for one series (rows = 0) and
+        # each row of a block that fits
         rng = np.random.default_rng(seed)
         shape = (rows, n + 1) if rows else (n + 1,)
         x = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
-        theta = rng.uniform(-1.0, 1.0, (*shape[:-1], p))
-        eps = ardw.residuals(x, theta)
-        want = x[..., 1:] - (lag_matrix(x, p) @ theta[..., None])[..., 0]
-        assert eps[..., 0].tobytes() == x[..., 0].tobytes()
-        assert eps[..., 1:].tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("x, theta_hat, message", [
-        (np.float64(1.0), [0.5], r"x must have shape \(n\+1\), got \(\)"),
-        (np.zeros((2, 50)), [0.5], r"x must have shape \(n\+1\), got \(2, 50\)"),
-        (np.zeros(50), np.zeros((2, 1)), r"x must have shape \(2, n\+1\), got \(50,\)"),
-    ], ids=["scalar", "block_for_one_theta", "series_for_two_thetas"])
-    def test_x_must_hold_one_series_per_theta_hat(self, x, theta_hat, message):
-        with pytest.raises(ValueError, match=message):
-            ardw.residuals(x, theta_hat)
-
-    @pytest.mark.parametrize("theta_hat", [None, [np.nan], [np.inf], [0.5, -np.inf]],
-                             ids=["none", "nan", "inf", "minus_inf"])
-    def test_theta_hat_must_be_finite(self, theta_hat):
-        with pytest.raises(ValueError, match="^theta_hat must be finite, got "):
-            ardw.residuals(np.arange(101.0), theta_hat)
-
-    def test_peak_is_the_lags_and_their_product(self):
-        # in path lengths of 8(n+1) bytes, at p = 3: the three lag columns
-        # and L @ theta read 4.00, as the lag matrix is freed before eps is
-        # allocated; with it alive, 5.00; with a temporary difference, 6.00
-        n = 200_000
-        x = ardw.simulate(params([0.3, -0.2, 0.25], 0.2), n, seed=1).x
-        theta = np.array([0.3, -0.2, 0.25])
-        tracemalloc.start()
-        try:
-            ardw.residuals(x, theta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.2 * 8 * (n + 1)
+        errors = RowErrors(rows) if rows else SERIES
+        f = ardw.fit(x, p, errors)
+        for xi, theta, eps, failed in zip(x.reshape(-1, n + 1), f.theta_hat.reshape(-1, p),
+                                          f.residuals.reshape(-1, n + 1),
+                                          errors.failed.reshape(-1)):
+            if not failed:
+                want = xi[1:] - (lag_matrix(xi, p) @ theta[:, None])[:, 0]
+                assert eps[0].tobytes() == xi[0].tobytes()
+                assert eps[1:].tobytes() == want.tobytes()
 
 
 def zero_filled_lag_matrix(x, p, column=None):
@@ -330,10 +319,11 @@ class TestOlsRho:
         (np.zeros(50), RowErrors(2), r"eps must have shape \(2, n\+1\), got \(50,\)"),
     ], ids=["scalar", "block_without_errors", "series_for_two_rows"])
     def test_eps_must_hold_one_series_per_row(self, eps, errors, message):
-        # dw_statistic follows the same rule
-        for call in (ardw.ols_rho, ardw.dw_statistic):
-            with pytest.raises(ValueError, match=message):
-                call(eps, errors)
+        # fit holds x to the same rule
+        with pytest.raises(ValueError, match=message):
+            ardw.ols_rho(eps, errors)
+        with pytest.raises(ValueError, match=message.replace("eps", "x")):
+            ardw.fit(eps, 1, errors)
 
 
 class TestSigma2Hat:
@@ -357,18 +347,28 @@ class TestSigma2Hat:
         assert f.sigma2_hat == pytest.approx(2.0, rel=0.02)
 
 
+def durbin_watson(eps):
+    """The ratio that fit's dw is, from its own core."""
+    return _dw(eps, _residual_energy(eps, SERIES))
+
+
 class TestDurbinWatson:
     def test_alternating(self):
-        assert ardw.dw_statistic(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx(3.0)
+        assert durbin_watson(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx(3.0)
+        # residuals 1, 0, 1, 0, 1 (see TestResiduals): 4 / 3
+        assert ardw.fit(np.array([1.0, 0.0, 1.0, 0.0, 1.0]), 1).dw == 4.0 / 3.0
 
     def test_constant(self):
-        assert ardw.dw_statistic(np.full(6, 2.5)) == 0.0
+        assert durbin_watson(np.full(6, 2.5)) == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            d = ardw.dw_statistic(rng.standard_normal(50))
-            assert 0.0 <= d <= 4.0
+            eps = rng.standard_normal(50)
+            d, dw = eps[1:] - eps[:-1], durbin_watson(eps)
+            assert dw == float(d @ d) / float(eps @ eps)
+            assert 0.0 <= dw <= 4.0
+            assert 0.0 <= ardw.fit(eps, 1).dw <= 4.0
 
     def test_consistency(self):
         limits = ardw.limit_summary(STANDARD)
@@ -405,7 +405,7 @@ class TestYuleWalker:
         for n in (10**3, 10**4, 10**5):
             x = ardw.simulate(STANDARD, n, seed=10).x
             theta_yw, _ = ardw.yule_walker_fit(x, 2)
-            theta_ols, _ = ardw.ols_theta(x, 2)
+            theta_ols = ardw.fit(x, 2).theta_hat
             gaps.append(np.linalg.norm(theta_yw - theta_ols))
         assert gaps[0] > gaps[2]
         assert gaps[2] < 1e-3
@@ -461,19 +461,18 @@ class TestFit:
     def test_composition_matches_components(self):
         x = ardw.simulate(STANDARD, 1000, seed=11).x
         f = ardw.fit(x, 2)
-        theta_hat, _ = ardw.ols_theta(x, 2)
-        eps = ardw.residuals(x, theta_hat)
+        theta_hat, eps, dw = numpy_fit(x, 2)
         assert f.theta_hat == pytest.approx(theta_hat)
         assert f.residuals == pytest.approx(eps)
         assert f.rho_hat == pytest.approx(ardw.ols_rho(eps))
-        assert f.dw == pytest.approx(ardw.dw_statistic(eps))
+        assert f.dw == pytest.approx(dw)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     @pytest.mark.parametrize("rows", [0, 7], ids=["series", "block"])
     def test_values_have_the_bits_of_the_public_steps(self, p, rows):
         # fit forms its residuals from the lag matrix theta_hat was solved
         # from and one eps . eps for dw and sigma2_hat: the same bits as
-        # ols_theta, residuals, ols_rho and dw_statistic called in turn
+        # each step written out in numpy (numpy_fit) and ols_rho, row by row
         prm = ardw.DEFAULT_SUITE[-1] if p == 3 else params([0.3] + [0.1] * (p - 1), 0.2)
         seeds = range(rows) if rows else [0]
         x = np.stack([ardw.simulate(prm, 400, seed=s).x for s in seeds])
@@ -482,20 +481,21 @@ class TestFit:
         errors = RowErrors(rows) if rows else SERIES
         f = ardw.fit(x, p, errors)
         assert not np.any(errors.failed)
-        theta_hat, _ = ardw.ols_theta(x, p, errors)
-        eps = ardw.residuals(x, theta_hat)
+        steps = [numpy_fit(xi, p) for xi in x.reshape(-1, 401)]
+        theta_hat = np.stack([theta for theta, _, _ in steps]).reshape(f.theta_hat.shape)
+        eps = np.stack([e for _, e, _ in steps]).reshape(x.shape)
+        dw = np.array([d for _, _, d in steps]).reshape(np.shape(f.dw))
         assert f.theta_hat.tobytes() == theta_hat.tobytes()
         assert f.residuals.tobytes() == eps.tobytes()
-        assert f.residuals.tobytes() == ardw.residuals(x, f.theta_hat).tobytes()
         assert np.asarray(f.rho_hat).tobytes() == np.asarray(ardw.ols_rho(eps, errors)).tobytes()
-        assert np.asarray(f.dw).tobytes() == np.asarray(ardw.dw_statistic(eps, errors)).tobytes()
+        assert np.asarray(f.dw).tobytes() == dw.tobytes()
         tp, rho = theta_hat[..., -1], ardw.ols_rho(eps, errors)
         s2 = (1.0 - rho * rho / (tp * tp)) * (_dot(eps, eps) / 400)
         assert np.asarray(f.sigma2_hat).tobytes() == np.asarray(s2).tobytes()
 
     def test_block_row_that_fails_keeps_the_others(self):
-        # the residuals of a failed row come from its NaN estimate, which the
-        # public residuals would refuse; the other rows are fitted as alone
+        # the residuals of a failed row come from its NaN estimate; the
+        # other rows are fitted as alone
         x = np.stack([np.zeros(101), ardw.simulate(STANDARD, 100, seed=4).x])
         errors = RowErrors(2)
         f = ardw.fit(x, 2, errors)

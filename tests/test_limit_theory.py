@@ -11,6 +11,7 @@ import ardw.limit_theory as lt
 from ardw.errors import (
     BadVariance,
     NotPositiveDefinite,
+    SingularB,
     UnstableRho,
     UnstableTheta,
     ZeroTheta,
@@ -418,6 +419,11 @@ class TestGammaOracle:
 
 
 class TestLimitSummary:
+    def test_system_matrix_singular_at_the_unit_root(self):
+        # rho one ulp below 1: the system matrix's cond is about 1e16
+        with pytest.raises(SingularB, match=r"^system matrix numerically singular \(cond ~ "):
+            ardw.limit_summary(params([0.5], 1 - 1e-16))
+
     def test_p1_theta_star(self):
         s = ardw.limit_summary(params([0.5], 0.3))
         assert s.theta_star[0] == pytest.approx(0.8 / 1.15, rel=1e-14)

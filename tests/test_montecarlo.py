@@ -438,7 +438,7 @@ class TestRateDiagnostic:
         theta = np.concatenate([t for _, t in blocks])
         assert theta.shape == (151, 2)
         for k in (50, 120, 200):
-            ref, _ = ardw.ols_theta(traj.x[: k + 1], 2)
+            ref = ardw.fit(traj.x[: k + 1], 2).theta_hat
             assert theta[k - 50] == pytest.approx(ref, abs=1e-10)
 
     def test_report_golden(self):

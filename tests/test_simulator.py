@@ -1,6 +1,7 @@
 import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,30 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="^rng must be a numpy Generator or a list of them"):
             NoiseSpec().draw(rng, size)
 
+    @pytest.mark.parametrize("block, size, message", [
+        (False, "3", "size must be an integer, got '3'"),
+        (False, 2.5, "size must be an integer, got 2.5"),
+        (False, True, "size must be an integer, got True"),
+        (False, -1, "size must be >= 0, got -1"),
+        (False, (1, 3), "size must be an integer, got (1, 3)"),
+        (True, 3, "size must be the pair (len(rng), m), got 3"),
+        (True, (3, 3), "size must be the pair (len(rng), m), got (3, 3)"),
+        (True, [2, 3], "size must be the pair (len(rng), m), got [2, 3]"),
+        (True, (True, 3), "rows must be an integer, got True"),
+        (True, (2, 2.5), "m must be an integer, got 2.5"),
+        (True, (2, -1), "m must be >= 0, got -1"),
+    ], ids=["str", "float", "bool", "negative", "pair_for_one", "int_for_block",
+            "rows_mismatch", "list_for_block", "bool_rows", "float_m", "negative_m"])
+    def test_size_must_be_a_count_or_a_block_shape(self, block, size, message):
+        rng = [derive_rng(1), derive_rng(2)] if block else derive_rng(1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseSpec().draw(rng, size)
+
+    def test_numpy_integer_sizes_and_zero_draws_are_accepted(self):
+        assert NoiseSpec().draw(derive_rng(1), np.int64(0)).shape == (0,)
+        rngs = [derive_rng(1), derive_rng(2)]
+        assert NoiseSpec().draw(rngs, (np.int64(2), np.int64(3))).shape == (2, 3)
+
     def test_uniform_half_width_must_be_finite(self):
         # sqrt(3 sigma2) is the half-width of the uniform support
         with pytest.raises(ValueError, match=r"uniform noise needs sqrt\(3 sigma2\) finite"):
@@ -255,6 +280,20 @@ class TestSerialization:
         assert back.seed == traj.seed
         assert back.burn_in == traj.burn_in
         assert back.params.theta == pytest.approx(traj.params.theta)
+
+    @pytest.mark.parametrize("change", [
+        {"x": None, "eps": None, "v": None},
+        {"x": np.zeros((2, 51))},
+        {"eps": np.zeros(50)},
+        {"v": np.zeros(51, dtype=np.float32)},
+        {"x": [0.0] * 51},
+    ], ids=["none", "two_d", "mismatched_lengths", "float32", "list"])
+    def test_paths_must_be_1d_float_arrays_of_one_length(self, change):
+        traj = ardw.simulate(STANDARD, 50, seed=13)
+        paths = {"x": traj.x, "eps": traj.eps, "v": traj.v, **change}
+        with pytest.raises(ValueError, match="^x, eps and v must be 1-D float arrays of one "
+                                             "length, got "):
+            Trajectory(**paths, params=STANDARD, seed=13)
 
     def test_tuple_seed_round_trip(self, tmp_path):
         traj = ardw.simulate(STANDARD, 50, seed=(7, 0, 50, 3))
