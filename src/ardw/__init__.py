@@ -9,7 +9,6 @@ from .errors import ArdwError
 from .limit_theory import (
     LimitSummary,
     ModelParams,
-    alpha_scalar,
     beta_vector,
     build_B,
     check_stability,
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 # the public names of the modules that load on the first use of one of them
 _DEFERRED = {
-    "estimators": ("FitResult", "fit", "ols_rho", "read_series", "yule_walker_fit"),
+    "estimators": ("FitResult", "fit", "read_series", "yule_walker_fit"),
     "montecarlo": ("DEFAULT_SUITE", "PowerTable", "StudyConfig", "clt_diagnostic",
                    "rate_diagnostic", "size_power_study"),
     "serial_tests": ("TestOutcome", "chi2_quantile", "chi2_sf", "durbin_h_test",

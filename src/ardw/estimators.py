@@ -22,8 +22,8 @@ from .errors import (
     SingularDesign,
     SingularToeplitz,
 )
-from .limit_theory import _check_integer, _symmetric_toeplitz
-from .text import record_dict
+from .limit_theory import _check_integer, _check_reals, _symmetric_toeplitz
+from .text import as_path, record_dict
 
 _COND_LIMIT = 1e14
 
@@ -117,34 +117,11 @@ def _ols(x: np.ndarray, p: int, errors: RowErrors):
     return theta_hat[..., 0], S, L
 
 
-def _residuals(x: np.ndarray, fitted: np.ndarray) -> np.ndarray:
-    """x less fitted, the (..., n, 1) product L @ theta_hat, with X_0 first."""
-    eps = np.empty_like(x)
-    eps[..., 0] = x[..., 0]
-    np.subtract(x[..., 1:], fitted[..., 0], out=eps[..., 1:])
-    return eps
-
-
-def ols_rho(eps: np.ndarray, errors: RowErrors = SERIES):
-    """Lag-1 least squares coefficient of the residual series."""
-    eps = np.asarray(eps, dtype=float)
-    _check_rows("eps", eps, errors.failed.shape)
-    den = _dot(eps[..., :-1], eps[..., :-1])
-    errors.add(den <= 0.0, DegenerateResiduals, "zero energy in lagged residuals")
-    return _dot(eps[..., 1:], eps[..., :-1]) / den
-
-
 def _residual_energy(eps: np.ndarray, errors: RowErrors) -> np.ndarray:
     """eps . eps; DegenerateResiduals where it is zero."""
     energy = _dot(eps, eps)
     errors.add(energy <= 0.0, DegenerateResiduals, "zero residual energy")
     return energy
-
-
-def _dw(eps: np.ndarray, energy: np.ndarray) -> np.ndarray:
-    """The Durbin-Watson ratio of eps, given its energy eps . eps."""
-    d = np.diff(eps)
-    return _dot(d, d) / energy
 
 
 @dataclass(frozen=True)
@@ -185,26 +162,34 @@ def fit(x: np.ndarray, p: int, errors: RowErrors = SERIES) -> FitResult:
     be negative on short series (only its limit is guaranteed); a note in
     warnings flags either case. A row of a block with an error holds
     meaningless values. A p that is not an integer >= 1 or an x of the wrong
-    shape raises ValueError, and a series shorter than p+2 SingularDesign,
-    for a whole block; a value not finite or of magnitude >= 1e150 raises
-    ValueError, and a singular Gram matrix SingularDesign, for its row.
+    shape or not real raises ValueError, and a series shorter than p+2
+    SingularDesign, for a whole block; a value not finite or of magnitude
+    >= 1e150 raises ValueError, and a singular Gram matrix SingularDesign,
+    for its row.
 
     One pass per quantity: the residuals come from the lag matrix theta_hat
     was solved from, and one eps . eps serves dw and sigma2_hat. Each value,
-    series by series, has the bits of numpy's solve of L.T @ L,
-    x[1:] - L @ theta_hat, ols_rho and d @ d / eps @ eps for d = np.diff(eps).
+    series by series, has the bits of numpy's solve of L.T @ L, x[1:] - L @
+    theta_hat, the lag-1 ratio eps[1:] @ eps[:-1] / eps[:-1] @ eps[:-1] and
+    d @ d / eps @ eps for d = np.diff(eps).
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_reals("x", x)
     theta_hat, S, L = _ols(x, p, errors)
     n = x.shape[-1] - 1
     # eps is allocated while L and L @ theta_hat live: the heap they free then
     # lies below it in one piece, where Breusch-Godfrey's one column wider
     # matrix fits (freeing L first raised long_path's peak RSS by 23 MB)
-    eps = _residuals(x, L @ theta_hat[..., None])
-    del L
-    rho_hat = ols_rho(eps, errors)
+    fitted = L @ theta_hat[..., None]
+    eps = np.empty_like(x)
+    eps[..., 0] = x[..., 0]
+    np.subtract(x[..., 1:], fitted[..., 0], out=eps[..., 1:])
+    del fitted, L
+    lagged = _dot(eps[..., :-1], eps[..., :-1])
+    errors.add(lagged <= 0.0, DegenerateResiduals, "zero energy in lagged residuals")
+    rho_hat = _dot(eps[..., 1:], eps[..., :-1]) / lagged
     energy = _residual_energy(eps, errors)
-    dw = _dw(eps, energy)
+    d = np.diff(eps)
+    dw = _dot(d, d) / energy
     mean_sq = energy / n
     tp = theta_hat[..., -1]
     near_zero = np.abs(tp) <= NEAR_ZERO_THETA_P
@@ -228,9 +213,9 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
 
     The variance estimate satisfies an exact algebraic identity:
     1 - n * var_theta1 equals the squared last coefficient. x must be one
-    series, or ValueError, of length at least p+2, or SingularDesign.
+    real series, or ValueError, of length at least p+2, or SingularDesign.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_reals("x", x)
     p = _check_integer("p", p, 1)
     _check_rows("x", x, ())
     if x.shape[0] < p + 2:
@@ -248,7 +233,7 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
 
 def read_series(path: str | Path) -> np.ndarray:
     """One numeric value per line, optional single header line."""
-    lines = Path(path).read_text().strip().splitlines()
+    lines = as_path(path).read_text().strip().splitlines()
     try:
         float(lines[0].split(",")[0])
         start = 0

@@ -59,7 +59,7 @@ class ModelParams:
     The stability region is open: ||theta||_1 < 1 and |rho| < 1 strictly.
     Construction enforces it (check_stability), so every function taking a
     ModelParams can rely on it. rho and sigma2 must be real numbers and are
-    stored as float.
+    stored as float; theta must hold real numbers, or ValueError.
     """
 
     p: int
@@ -69,7 +69,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_integer("p", self.p))
-        theta = np.array(self.theta, dtype=float, ndmin=1)  # a copy of its own, read-only
+        theta = np.array(_check_reals("theta", self.theta), ndmin=1)  # its own, read-only
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         for name in ("rho", "sigma2"):
@@ -100,6 +100,16 @@ def _check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _check_reals(name: str, value) -> np.ndarray:
+    """value as a float array; complex input, or one numpy cannot read as float: ValueError."""
+    try:
+        if not np.iscomplexobj(value):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must hold real numbers, got {value!r}")
 
 
 def _check_array(name: str, a, ndim: int) -> np.ndarray:
@@ -135,13 +145,6 @@ def beta_vector(params: ModelParams) -> np.ndarray:
     _check_params(params)
     theta, rho = params.theta.tolist(), params.rho
     return np.array([theta[0] + rho, *(t - rho * s for t, s in zip(theta[1:], theta))])
-
-
-def alpha_scalar(params: ModelParams) -> float:
-    """Normalization 1 / (1 - (theta_p rho)^2), finite on the stability region."""
-    _check_params(params)
-    tpr = float(params.theta[-1]) * params.rho
-    return 1.0 / ((1.0 - tpr) * (1.0 + tpr))
 
 
 def _system_matrix(beta: np.ndarray, tail: float, p: int) -> np.ndarray:
@@ -323,10 +326,11 @@ def limit_summary(params: ModelParams) -> LimitSummary:
     solve residual passes. Scalars are Python floats, same bits as float64.
     A params that is not a ModelParams raises ValueError.
     """
-    alpha = alpha_scalar(params)  # checks params first
+    beta = beta_vector(params)  # checks params first
     p = params.p
-    beta = beta_vector(params)
     tpr = float(params.theta[-1]) * params.rho
+    # the normalization 1 / (1 - (theta_p rho)^2), finite on the stability region
+    alpha = 1.0 / ((1.0 - tpr) * (1.0 + tpr))
 
     B = _system_matrix(beta, tpr, p)
     lam = _solve_lambda(B)

@@ -23,7 +23,7 @@ from .estimators import _dot, fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_params, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _linear_filter, _paths, simulate
-from .text import csv_text
+from .text import as_path, csv_text
 
 #: documented default parameter sets spanning orders 1..3 and
 #: positive/negative serial correlation
@@ -74,7 +74,7 @@ class StudyConfig:
     def from_json(cls, path: str | Path) -> "StudyConfig":
         """Read a JSON object keyed by field name. A missing or unknown key, or
         a value of the wrong kind, raises ValueError."""
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(as_path(path).read_text())
         try:
             return cls(**{
                 **raw,

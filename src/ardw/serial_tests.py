@@ -19,7 +19,7 @@ from .errors import (
 from .estimators import (
     NEAR_ZERO_THETA_P, FitResult, _checked_solve, _dot, _residual_energy, lag_matrix,
 )
-from .limit_theory import _check_real
+from .limit_theory import _check_real, _check_reals
 from .text import csv_text, record_dict
 
 _math_erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -127,7 +127,7 @@ def _ljung_box(x, fit, errors: RowErrors):
 
 def _breusch_godfrey(x, fit, errors: RowErrors):
     # n R^2 on the lag vector and, in one more column, the lagged residual
-    Z = lag_matrix(np.asarray(x, dtype=float), fit.p, fit.residuals[..., :-1])
+    Z = lag_matrix(x, fit.p, fit.residuals[..., :-1])
     y = fit.residuals[..., 1:]
     tss = _residual_energy(y, errors)
     Zt = Z.swapaxes(-1, -2)
@@ -169,7 +169,7 @@ def _check_names(names) -> None:
     if isinstance(names, str) or not np.iterable(names):
         raise ValueError(f"names must be a list, got {names!r}")
     for name in names:
-        if name not in _TESTS:
+        if not isinstance(name, str) or name not in _TESTS:
             raise ValueError(f"unknown test {name!r}")
 
 
@@ -235,14 +235,15 @@ def run_tests(
 
     An unknown test name, names given as a string, a level that is not a
     real number in (0, 1), a fit that is not the FitResult of one series, or
-    an x (None included) of another shape than the fit's residuals, raises
-    ValueError before any test runs, whatever the names.
+    an x (None included) not real or of another shape than the fit's
+    residuals, raises ValueError before any test runs, whatever the names.
     """
     _check_names(names)
     level = _check_level(level)
     if np.shape(x) != _check_fit(fit).residuals.shape:
         raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
                          f"fit's residuals, got {np.shape(x)}")
+    x = _check_reals("x", x)
     return [_one(name, level, x, fit, RowErrors(())) for name in names]
 
 

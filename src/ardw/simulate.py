@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .limit_theory import ModelParams, _check_integer, _check_params, _check_real
-from .text import csv_text, json_text, record_dict
+from .text import as_path, csv_text, json_text, record_dict
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
 
@@ -120,7 +120,7 @@ class Trajectory:
     def to_csv(self, path: str | Path) -> None:
         """Series to CSV plus a JSON sidecar with the parameters, noise and
         seed that simulate it again."""
-        path = Path(path)
+        path = as_path(path)
         path.write_text(csv_text(("x", "eps", "v"), zip(self.x, self.eps, self.v)))
         sidecar = {**record_dict(self.params), "noise": record_dict(self.noise),
                    "seed": self.seed, "burn_in": self.burn_in}
@@ -131,7 +131,7 @@ class Trajectory:
         """The series and sidecar that to_csv writes. A sidecar without a
         noise key (written before it had one) reads as simulate's default
         noise for its parameters."""
-        path = Path(path)
+        path = as_path(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         seed, burn_in, noise = meta.pop("seed"), meta.pop("burn_in"), meta.pop("noise", None)
@@ -302,17 +302,18 @@ def simulate(
 @cache
 def _linear_filter():
     """scipy's IIR filter kernel, _linear_filter(b, a, x, axis[, zi]), the C
-    function behind scipy.signal.lfilter. Only its extension module
-    scipy.signal._sigtools is loaded: importing scipy.signal would run its
-    __init__, about 750 modules and a second, for this one function. Loaded
-    on the first simulation, so import ardw does without scipy."""
+    function behind scipy.signal.lfilter, from its extension module alone,
+    looked up in scipy's signal folder: finding scipy.signal would import
+    scipy, and importing it about 750 modules. Loaded on the first
+    simulation, so import ardw does without scipy."""
     import importlib.machinery
     import importlib.util
 
     name, spec = "scipy.signal._sigtools", None
-    signal = importlib.util.find_spec("scipy.signal")
-    if signal is not None and signal.submodule_search_locations:
-        spec = importlib.machinery.PathFinder.find_spec(name, signal.submodule_search_locations)
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        signal = [str(Path(d, "signal")) for d in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, signal)
     if spec is None:
         raise ImportError(f"scipy's filter kernel {name} was not found", name=name)
     module = importlib.util.module_from_spec(spec)

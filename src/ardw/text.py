@@ -1,12 +1,21 @@
-"""Every text that ardw writes. CSV floats carry 17 significant digits (a
-bit-exact round trip) and lines end with LF; JSON is strict, with NaN and
-infinities as null. Every text ends with a newline."""
+"""Every text that ardw writes, and its paths. CSV floats carry 17
+significant digits (a bit-exact round trip) and lines end with LF; JSON is
+strict, with NaN and infinities as null. Every text ends with a newline."""
 
 import json
 import math
+import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+
+
+def as_path(path) -> Path:
+    """path as a Path; anything but a str or an os.PathLike raises ValueError."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"path must be a str or os.PathLike, got {path!r}")
+    return Path(path)
 
 
 def csv_text(header, rows) -> str:

@@ -329,3 +329,14 @@ def test_import_leaves_scipy_signal_out(tmp_path):
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
     assert (tmp_path / "x.csv").exists() and "numpy" in imported
     assert "scipy.signal" not in imported
+
+
+def test_first_simulate_leaves_scipy_out():
+    # finding scipy.signal would run scipy's own __init__; the kernel is
+    # looked up from the top-level package, which finding does not import
+    env = dict(os.environ, PYTHONPATH=str(Path(ardw.__file__).parents[1]))
+    code = ("import sys, ardw; ardw.simulate(ardw.DEFAULT_SUITE[1], 50); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout == "False\n"

@@ -134,6 +134,15 @@ class TestSimulateFitRoundTrip:
                 == b.with_suffix(".csv.json").read_text())
 
 
+@pytest.mark.parametrize("bad", [None, 3, b"x.csv"], ids=["none", "int", "bytes"])
+def test_path_arguments_must_be_str_or_path_like(bad):
+    traj = ardw.simulate(ardw.DEFAULT_SUITE[0], 10)
+    for call in (ardw.read_series, ardw.StudyConfig.from_json, traj.to_csv,
+                 ardw.Trajectory.from_csv):
+        with pytest.raises(ValueError, match=f"^path must be a str or os.PathLike, got {bad!r}$"):
+            call(bad)
+
+
 class TestTestCommand:
     def test_json_output(self, tmp_path, capsys):
         csv = tmp_path / "traj.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import ardw
 from ardw.errors import SERIES, DegenerateResiduals, RowErrors, SingularDesign, SingularToeplitz
-from ardw.estimators import _checked_solve, _dot, _dw, _residual_energy, lag_matrix
+from ardw.estimators import _checked_solve, _dot, lag_matrix
 
 
 def params(theta, rho, sigma2=1.0):
@@ -43,13 +43,14 @@ def brute_force_fit(x, p):
 
 
 def numpy_fit(x, p):
-    """theta_hat, the residuals and the Durbin-Watson ratio of one series,
-    each written out with numpy's own solve, matmul and 1-D dot."""
+    """theta_hat, the residuals, rho_hat and the Durbin-Watson ratio of one
+    series, each written out with numpy's own solve, matmul and 1-D dot."""
     L = lag_matrix(x, p)
     theta = np.linalg.solve(L.T @ L, L.T @ x[1:, None])[:, 0]
     eps = np.concatenate((x[:1], x[1:] - (L @ theta[:, None])[:, 0]))
     d = np.diff(eps)
-    return theta, eps, float(d @ d) / float(eps @ eps)
+    rho = float(eps[1:] @ eps[:-1]) / float(eps[:-1] @ eps[:-1])
+    return theta, eps, rho, float(d @ d) / float(eps @ eps)
 
 
 class TestOlsTheta:
@@ -108,6 +109,31 @@ class TestOlsTheta:
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(x, p)
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones(10) * 1j, [1j] * 10, np.ones(10, dtype=np.complex64), [{"a": 1}] * 10,
+    np.array([object()] * 10), ["one"] * 10, [10**400] * 10,
+], ids=["complex_array", "complex_list", "complex64", "dicts", "objects", "strings",
+        "huge_ints"])
+def test_values_must_be_real_numbers(bad):
+    # numpy casts a complex array to its real part with a warning only
+    f = ardw.fit(np.arange(10.0) % 3, 1)
+    for name, call in (("x", lambda: ardw.fit(bad, 1)),
+                       ("x", lambda: ardw.yule_walker_fit(bad, 1)),
+                       ("x", lambda: ardw.run_tests(bad, f)),
+                       ("theta", lambda: ardw.ModelParams(p=10, theta=bad, rho=0.1))):
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers, got "):
+            call()
+
+
+def test_real_inputs_keep_their_bits():
+    # ints, bools and numeric strings read as numpy's float conversion does
+    x = [1, 0, 2, True, 1, 3, 0, 2]
+    want = ardw.fit(np.array(x, dtype=float), 1)
+    for same in (x, [str(v) for v in np.array(x, dtype=float)]):
+        assert ardw.fit(same, 1).to_dict() == want.to_dict()
+    assert ardw.ModelParams(p=2, theta=["0.25", 0], rho=0.1).theta.tolist() == [0.25, 0.0]
 
 
 KINDS = ("random", "near_singular", "gram", "indefinite", "zero", "nan", "inf")
@@ -298,32 +324,29 @@ class TestDot:
 
 
 class TestOlsRho:
+    """fit's rho_hat, the lag-1 least squares coefficient of the residuals."""
+
     def test_constant_residuals(self):
-        assert ardw.ols_rho(np.ones(4)) == pytest.approx(1.0)
+        # theta_hat = -2 leaves the residuals 1, 1, 1
+        f = ardw.fit(np.array([1.0, -1.0, 3.0]), 1)
+        assert f.residuals.tolist() == [1.0, 1.0, 1.0]
+        assert f.rho_hat == 1.0
 
     def test_alternating_residuals(self):
-        assert ardw.ols_rho(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx(-1.0)
+        # theta_hat = 2 leaves the residuals 1, -1, 1
+        f = ardw.fit(np.array([1.0, 1.0, 3.0]), 1)
+        assert f.residuals.tolist() == [1.0, -1.0, 1.0]
+        assert f.rho_hat == -1.0
 
     def test_zero_denominator(self):
-        with pytest.raises(DegenerateResiduals):
-            ardw.ols_rho(np.array([0.0, 0.0, 1.0]))
+        # the Gram matrix is subnormal, and the lagged residuals square to zero
+        with pytest.raises(DegenerateResiduals, match="^zero energy in lagged residuals$"):
+            ardw.fit(np.array([1e-170, 1e-160, 1e-150]), 1)
 
     def test_consistency(self):
         limits = ardw.limit_summary(STANDARD)
         f = ardw.fit(ardw.simulate(STANDARD, 10**5, seed=3).x, 2)
         assert abs(f.rho_hat - limits.rho_star) < 0.01
-
-    @pytest.mark.parametrize("eps, errors, message", [
-        (np.float64(1.0), SERIES, r"eps must have shape \(n\+1\), got \(\)"),
-        (np.zeros((2, 50)), SERIES, r"eps must have shape \(n\+1\), got \(2, 50\)"),
-        (np.zeros(50), RowErrors(2), r"eps must have shape \(2, n\+1\), got \(50,\)"),
-    ], ids=["scalar", "block_without_errors", "series_for_two_rows"])
-    def test_eps_must_hold_one_series_per_row(self, eps, errors, message):
-        # fit holds x to the same rule
-        with pytest.raises(ValueError, match=message):
-            ardw.ols_rho(eps, errors)
-        with pytest.raises(ValueError, match=message.replace("eps", "x")):
-            ardw.fit(eps, 1, errors)
 
 
 class TestSigma2Hat:
@@ -347,28 +370,25 @@ class TestSigma2Hat:
         assert f.sigma2_hat == pytest.approx(2.0, rel=0.02)
 
 
-def durbin_watson(eps):
-    """The ratio that fit's dw is, from its own core."""
-    return _dw(eps, _residual_energy(eps, SERIES))
-
-
 class TestDurbinWatson:
     def test_alternating(self):
-        assert durbin_watson(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx(3.0)
+        # residuals 1, -1, 1 (see TestOlsRho): 8 / 3
+        assert ardw.fit(np.array([1.0, 1.0, 3.0]), 1).dw == 8.0 / 3.0
         # residuals 1, 0, 1, 0, 1 (see TestResiduals): 4 / 3
         assert ardw.fit(np.array([1.0, 0.0, 1.0, 0.0, 1.0]), 1).dw == 4.0 / 3.0
 
     def test_constant(self):
-        assert durbin_watson(np.full(6, 2.5)) == 0.0
+        # residuals 1, 1, 1 (see TestOlsRho)
+        assert ardw.fit(np.array([1.0, -1.0, 3.0]), 1).dw == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            eps = rng.standard_normal(50)
-            d, dw = eps[1:] - eps[:-1], durbin_watson(eps)
-            assert dw == float(d @ d) / float(eps @ eps)
-            assert 0.0 <= dw <= 4.0
-            assert 0.0 <= ardw.fit(eps, 1).dw <= 4.0
+            f = ardw.fit(rng.standard_normal(50), 1)
+            eps = f.residuals
+            d = eps[1:] - eps[:-1]
+            assert f.dw == float(d @ d) / float(eps @ eps)
+            assert 0.0 <= f.dw <= 4.0
 
     def test_consistency(self):
         limits = ardw.limit_summary(STANDARD)
@@ -452,6 +472,10 @@ class TestFit:
         with pytest.raises(SingularDesign):
             ardw.fit(np.zeros(8), 2)
 
+    def test_x_must_hold_one_series_per_row_of_errors(self):
+        with pytest.raises(ValueError, match=r"^x must have shape \(2, n\+1\), got \(50,\)$"):
+            ardw.fit(np.zeros(50), 1, RowErrors(2))
+
     def test_subnormal_gram_matrix(self):
         # cond() does not see scale: this Gram matrix passes the singularity
         # check, but its inverse is not finite
@@ -461,10 +485,10 @@ class TestFit:
     def test_composition_matches_components(self):
         x = ardw.simulate(STANDARD, 1000, seed=11).x
         f = ardw.fit(x, 2)
-        theta_hat, eps, dw = numpy_fit(x, 2)
+        theta_hat, eps, rho, dw = numpy_fit(x, 2)
         assert f.theta_hat == pytest.approx(theta_hat)
         assert f.residuals == pytest.approx(eps)
-        assert f.rho_hat == pytest.approx(ardw.ols_rho(eps))
+        assert f.rho_hat == pytest.approx(rho)
         assert f.dw == pytest.approx(dw)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -472,7 +496,7 @@ class TestFit:
     def test_values_have_the_bits_of_the_public_steps(self, p, rows):
         # fit forms its residuals from the lag matrix theta_hat was solved
         # from and one eps . eps for dw and sigma2_hat: the same bits as
-        # each step written out in numpy (numpy_fit) and ols_rho, row by row
+        # each step written out in numpy (numpy_fit), row by row
         prm = ardw.DEFAULT_SUITE[-1] if p == 3 else params([0.3] + [0.1] * (p - 1), 0.2)
         seeds = range(rows) if rows else [0]
         x = np.stack([ardw.simulate(prm, 400, seed=s).x for s in seeds])
@@ -482,14 +506,15 @@ class TestFit:
         f = ardw.fit(x, p, errors)
         assert not np.any(errors.failed)
         steps = [numpy_fit(xi, p) for xi in x.reshape(-1, 401)]
-        theta_hat = np.stack([theta for theta, _, _ in steps]).reshape(f.theta_hat.shape)
-        eps = np.stack([e for _, e, _ in steps]).reshape(x.shape)
-        dw = np.array([d for _, _, d in steps]).reshape(np.shape(f.dw))
+        theta_hat = np.stack([theta for theta, _, _, _ in steps]).reshape(f.theta_hat.shape)
+        eps = np.stack([e for _, e, _, _ in steps]).reshape(x.shape)
+        rho = np.array([r for _, _, r, _ in steps]).reshape(np.shape(f.rho_hat))
+        dw = np.array([d for _, _, _, d in steps]).reshape(np.shape(f.dw))
         assert f.theta_hat.tobytes() == theta_hat.tobytes()
         assert f.residuals.tobytes() == eps.tobytes()
-        assert np.asarray(f.rho_hat).tobytes() == np.asarray(ardw.ols_rho(eps, errors)).tobytes()
+        assert np.asarray(f.rho_hat).tobytes() == rho.tobytes()
         assert np.asarray(f.dw).tobytes() == dw.tobytes()
-        tp, rho = theta_hat[..., -1], ardw.ols_rho(eps, errors)
+        tp = theta_hat[..., -1]
         s2 = (1.0 - rho * rho / (tp * tp)) * (_dot(eps, eps) / 400)
         assert np.asarray(f.sigma2_hat).tobytes() == np.asarray(s2).tobytes()
 

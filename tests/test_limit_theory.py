@@ -97,10 +97,12 @@ class TestStability:
             ([0.5], 0.3, 1.0, ValueError, "1"),
             ([0.5], 0.3, 1.0, ValueError, 2),
             ([[0.5]], 0.3, 1.0, ValueError, None),
+            ([0.5j], 0.3, 1.0, ValueError, None),
+            ({"a": 1}, 0.3, 1.0, ValueError, 1),
         ],
         ids=["unstable_theta", "unstable_rho", "zero_theta", "bad_variance", "nan",
              "inf_variance", "p_bool", "p_float", "p_string", "theta_shorter_than_p",
-             "theta_matrix"],
+             "theta_matrix", "theta_complex", "theta_dict"],
     )
     def test_construction_enforces_region(self, theta, rho, sigma2, error, p):
         p = len(theta) if p is None else p
@@ -139,7 +141,7 @@ class TestStability:
                          ids=["dict", "none", "tuple"])
 def test_params_must_be_model_params(bad):
     # checked first: simulate's n = 1 would fail its length check after
-    rest = {"check_stability": (), "beta_vector": (), "alpha_scalar": (), "build_B": (),
+    rest = {"check_stability": (), "beta_vector": (), "build_B": (),
             "companion_matrix": (), "limit_summary": (), "lyapunov_lambda_oracle": (5,),
             "simulate": (1,), "clt_diagnostic": (50, 10), "rate_diagnostic": (2000,)}
     # every exported function whose first parameter is a ModelParams is here
@@ -172,15 +174,15 @@ class TestBetaAlpha:
         assert beta == pytest.approx([0.6, -0.38])
 
     def test_alpha_rho_zero(self):
-        assert ardw.alpha_scalar(params([0.5, 0.2], 0.0)) == 1.0
+        assert ardw.limit_summary(params([0.5, 0.2], 0.0)).alpha == 1.0
 
     def test_alpha_p1(self):
-        assert ardw.alpha_scalar(params([0.5], 0.3)) == pytest.approx(
+        assert ardw.limit_summary(params([0.5], 0.3)).alpha == pytest.approx(
             1.0 / (1.0 - 0.0225), rel=1e-14
         )
 
     def test_alpha_p2(self):
-        assert ardw.alpha_scalar(params([0.4, -0.3], 0.2)) == pytest.approx(
+        assert ardw.limit_summary(params([0.4, -0.3], 0.2)).alpha == pytest.approx(
             1.0 / (1.0 - 0.0036), rel=1e-14
         )
 
@@ -499,15 +501,16 @@ class TestLimitSummary:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ardw.limit_theory, "check_stability",
-                            counted("check_stability", ardw.check_stability))
-        monkeypatch.setattr(ardw.limit_theory, "beta_vector",
-                            counted("beta_vector", ardw.beta_vector))
+        for name in ("check_stability", "beta_vector", "_check_params"):
+            monkeypatch.setattr(ardw.limit_theory, name,
+                                counted(name, getattr(ardw.limit_theory, name)))
         for name in ("svd", "eigvalsh", "solve", "inv"):
             gufunc = getattr(ardw.limit_theory, f"_{name}")
             monkeypatch.setattr(ardw.limit_theory, f"_{name}", counted(name, gufunc))
         ardw.limit_summary(prm)
-        assert sorted(calls) == ["beta_vector", "eigvalsh", "inv", "solve", "svd"]
+        # beta_vector's params check is the only one
+        assert sorted(calls) == ["_check_params", "beta_vector", "eigvalsh", "inv", "solve",
+                                 "svd"]
 
     def test_validates_only_at_the_boundary(self, monkeypatch):
         # the cores trust the B and lam that limit_summary built itself
@@ -524,7 +527,6 @@ class TestLimitSummary:
 
     def test_scalars_are_python_floats_and_bool(self):
         for prm in (params([0.4, -0.3, 0.2], 0.3), params([0.5], -0.5)):
-            assert type(ardw.alpha_scalar(prm)) is float
             s = ardw.limit_summary(prm)
             for name in ("alpha", "rho_star", "d_star", "sigma2_rho", "sigma2_D"):
                 assert type(getattr(s, name)) is float, name

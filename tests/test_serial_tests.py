@@ -326,11 +326,12 @@ class TestRunTests:
                     run_tests(bad, f, names=names)
 
     def test_unknown_name_same_message_as_study_config(self):
-        with pytest.raises(ValueError) as one:
-            run_tests(np.ones(101), make_fit(), names=("nope",))
-        with pytest.raises(ValueError) as study:
-            StudyConfig(params_list=(), n_list=(100,), tests=("nope",))
-        assert str(one.value) == str(study.value) == "unknown test 'nope'"
+        for name in ("nope", ["dw_chi2"]):  # a name that is not a string is unknown too
+            with pytest.raises(ValueError) as one:
+                run_tests(np.ones(101), make_fit(), names=(name,))
+            with pytest.raises(ValueError) as study:
+                StudyConfig(params_list=(), n_list=(100,), tests=(name,))
+            assert str(one.value) == str(study.value) == f"unknown test {name!r}"
 
     def test_any_recorded_error_is_inapplicable_for_one_series_and_a_block(self, monkeypatch):
         # a kernel error outside the tests' usual ones is inapplicable in
