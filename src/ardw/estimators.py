@@ -36,17 +36,16 @@ NEAR_ZERO_THETA_P = 1e-12
 # error there instead.
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a . b along the last axis (into out, if given), each summed as the
-    BLAS ddot that a 1-D `a @ b` calls sums: from +0, one fused multiply-add
-    per term, by one ddot call per row (einsum sums in another order)."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b along the last axis, each summed as the BLAS ddot that a 1-D
+    `a @ b` calls sums: from +0, one fused multiply-add per term, by one ddot
+    call per row (einsum sums in another order)."""
     if a.shape[-1] == 1:  # the product, +0 for -0
-        return np.add(np.multiply(a[..., 0], b[..., 0], out=out), 0.0, out=out)
+        return np.add(np.multiply(a[..., 0], b[..., 0]), 0.0)
     if a.shape[-1] >= 4 and (a.strides[-1], b.strides[-1]) != (a.itemsize, b.itemsize):
         # a ddot of 4 or more terms, either strided, sums in two halves
         a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    wide = None if out is None else out[..., None, None]
-    return np.matmul(a[..., None, :], b[..., :, None], out=wide)[..., 0, 0]
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _checked_solve(G, b, error: type[ArdwError], what: str, errors: RowErrors = SERIES):

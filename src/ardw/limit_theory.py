@@ -44,6 +44,10 @@ _solve, _inv, _eigvalsh = _umath_linalg.solve1, _umath_linalg.inv, _umath_linalg
 #: condition number past which a system is numerically singular
 _SINGULAR_COND = 1.0 / np.finfo(float).eps
 
+#: most fixed-point iterations of lyapunov_lambda_oracle, past which it
+#: raises NoConvergence
+_ORACLE_ITERATIONS = 10**6
+
 
 def _cond(a: np.ndarray) -> float:
     """2-norm condition number s_max / s_min, as np.linalg.cond gives it;
@@ -264,7 +268,7 @@ def lyapunov_lambda_oracle(params: ModelParams, max_lag: int) -> np.ndarray:
     Q = np.zeros((m, m))
     Q[0, 0] = 1.0  # unit-variance innovations: result is sigma2-free
     Sigma = Q.copy()
-    for _ in range(10**6):
+    for _ in range(_ORACLE_ITERATIONS):
         Sigma, prev = C @ Sigma @ C.T + Q, Sigma
         if np.max(np.abs(Sigma - prev)) < 1e-14 * max(1.0, np.max(np.abs(Sigma))):
             break

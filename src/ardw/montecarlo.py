@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArdwError, RowErrors
-from .estimators import _dot, fit
+from .estimators import fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_params, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _linear_filter, _paths, simulate
@@ -260,48 +260,31 @@ def _mirror(upper, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@np.errstate(all="ignore")  # LAPACK warns of nothing
-def _lu_solve(gram, num, out) -> bool:
-    """Solve A x = num into out (A mirrored from its upper triangle gram) as
-    OpenBLAS's dgesv does for p <= 5, each step over all the stages: getf2's
-    left-looking LU (pivot: the first largest |c_i|, by its reciprocal), then
-    getrs' substitutions, fused term by term. False where LAPACK may differ:
-    p > 5, a non-finite entry, a pivot below the smallest normal double, or a
-    zero at either end of a fused sum, whose sign ddot's start from +0 can
-    flip."""
-    m, p = out.shape
-    if p > 5:
-        return False
-    work = np.empty((2 * p + 2, p, m))
-    e, z, v = work[:p + 1], work[p + 1:-1], work[-1]
-    e[0] = num.T  # e[1 + j, i] = A[i, j]: a stage along the last axis
-    _mirror(gram.T, e[1:])
-    t = z[0]  # scratch until the substitutions
-    for j in range(p):
-        c = e[1 + j]  # column j, with the interchanges so far
-        for i in range(1, j):
-            c[i] -= _dot(e[1:1 + i, i].T, c[:i].T, t[0])
-        if j:
-            c[j:] -= _dot(e[1:1 + j, j:].T, c[:j].T[:, None], t[:p - j].T).T
-        if j + 1 < p:
-            mag = np.abs(c[j:], out=t[:p - j])
-            if (mag[1:] > mag[0]).any():  # interchange row j and the pivot's
-                r, s = j + np.argmax(mag, axis=0), np.arange(m)
-                e[:, j, s], e[:, r, s] = e[:, r, s], e[:, j, s]
-            c[j + 1:] *= np.divide(1.0, c[j], out=t[0])
-    # row i of z: y_i, then U[i, p-1], ..., U[i, i+1], the order of the
-    # substitutions' updates; v: 1, then the negated entries solved so far
-    z[1:], z[0, 0], v[0] = e[p:1:-1], e[0, 0], 1.0
-    for i in range(1, p):
-        np.negative(z[0, i - 1], out=v[i])
-        _dot(v[:i + 1].T, e[:i + 1, i].T, z[0, i])
-    np.divide(z[0, p - 1], e[p, p - 1], out=out[:, p - 1])
-    for i in range(p - 2, -1, -1):
-        np.negative(out[:, i + 1], out=v[p - 1 - i])
-        _dot(v[:p - i].T, z[:p - i, i].T, out[:, i])
-        out[:, i] /= e[1 + i, i]
-    return bool(np.abs(np.diagonal(e[1:])).min() >= np.finfo(float).tiny and e[0, 1:].all()
-                and np.isfinite(e.sum() + out.sum()) and z[0].all() and out[:, :-1].all())
+@np.errstate(all="ignore")  # a declined block warns of nothing
+def _ldl_solve(gram, num, out) -> bool:
+    """Solve A x = num into out.T (A mirrored from its upper triangle gram)
+    by A = L D L^T without square roots, each step over all the stages: step
+    k divides row k of the reduced A by its pivot d_k into column k of L,
+    and takes L[i, k] times row k from each later row i, the numerators
+    included (so they become y of L y = num). Then z = y / d and L^T x = z,
+    column by column from the last. At p = 1 it is the one division LAPACK
+    makes. False where a pivot is below the smallest normal double (zero and
+    negative included) or an entry is not finite; out is then unspecified."""
+    p, m = out.shape
+    w = np.empty((p, p + 1, m))  # w[i, j]: A[i, j] reduced, i <= j; L[i, j], i > j
+    w[:, p] = num.T
+    for (i, j), column in zip(_pairs(p), gram.T):
+        w[i, j] = column
+    for k in range(p - 1):
+        np.divide(w[k, k + 1:p], w[k, k], out=w[k + 1:, k])
+        for i in range(k + 1, p):
+            w[i, i:] -= w[i, k] * w[k, i:]
+    d = np.diagonal(w, axis1=0, axis2=1).T  # the pivots, a view
+    np.divide(w[:, p], d, out=out)
+    for k in range(p - 1, 0, -1):
+        out[:k] -= w[k, :k] * out[k]
+    return bool(d.min() >= np.finfo(float).tiny and d.max() <= np.finfo(float).max
+                and np.isfinite(out).all())
 
 
 def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
@@ -311,8 +294,10 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
     over j <= k-1 and are carried from block to block, so memory is O(n),
     not O(n p^2). The Gram sums cover the upper triangle, one column per
     entry. Lag column i of row j, X_{j-i}, is a slice of x, or of a copy of
-    x[:b] after p zeros for a block that starts before X_p. The blocks
-    _lu_solve declines go to np.linalg.solve, which raises if singular."""
+    x[:b] after p zeros for a block that starts before X_p. _ldl_solve
+    solves each block into one row per component, and theta is that array
+    transposed; the blocks it declines go to np.linalg.solve, which raises
+    if singular."""
     n = len(x) - 1
     rows = max(1, BLOCK_ELEMENTS // (2 * p * (p + 1)))
     pairs, numerators = _pairs(p), [(i, p) for i in range(p)]  # lag i times X_{j+1}
@@ -325,11 +310,11 @@ def _theta_hat_blocks(x: np.ndarray, p: int, start: int):
         num = _product_sums(cols, numerators, num)
         s = max(0, start - 1 - a)
         if s < b - a:
-            theta = np.empty((b - a - s, p))
-            if not _lu_solve(gram[s:], num[s:], theta):
-                g = _mirror(gram[s:].T, np.empty((p, p, len(theta)))).transpose(2, 0, 1)
-                theta[...] = np.linalg.solve(g, num[s:, :, None])[..., 0]
-            yield a + 1 + s, theta
+            theta = np.empty((p, b - a - s))  # one row per component
+            if not _ldl_solve(gram[s:], num[s:], theta):
+                g = _mirror(gram[s:].T, np.empty((p, p, b - a - s))).transpose(2, 0, 1)
+                theta[...] = np.linalg.solve(g, num[s:, :, None])[..., 0].T
+            yield a + 1 + s, theta.T
 
 
 def rate_diagnostic(
@@ -366,7 +351,7 @@ def rate_diagnostic(
     rows, cum_upper = [], None
     tr_sigma = float(np.trace(limits.Sigma_theta))
     for k0, theta in _theta_hat_blocks(x, p, start):
-        err = np.subtract(theta.T, limits.theta_star[:, None], order="C")
+        err = theta.T - limits.theta_star[:, None]
         cum_upper = _product_sums(err, _pairs(p), cum_upper)
         for cp in checkpoints:
             if k0 <= cp < k0 + len(theta):

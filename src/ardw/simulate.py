@@ -95,8 +95,8 @@ class Trajectory:
     the innovations were drawn with; None stands for simulate's default,
     gaussian with the model's sigma2. A tuple seed (as in studies) is stored
     as a list in the JSON sidecar and read back as a tuple. A params that is
-    not a ModelParams, or x, eps and v that are not 1-D float arrays of one
-    length, raises ValueError.
+    not a ModelParams, x, eps and v that are not 1-D float arrays of one
+    length, or a seed or burn_in that simulate refuses, raises ValueError.
     """
 
     x: np.ndarray
@@ -109,6 +109,8 @@ class Trajectory:
 
     def __post_init__(self):
         _check_params(self.params)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "burn_in", _check_integer("burn_in", self.burn_in, 0))
         paths = (self.x, self.eps, self.v)
         if not (all(isinstance(a, np.ndarray) and a.dtype == float for a in paths)
                 and self.x.ndim == 1 and self.x.shape == self.eps.shape == self.v.shape):
@@ -130,16 +132,24 @@ class Trajectory:
     def from_csv(cls, path: str | Path) -> "Trajectory":
         """The series and sidecar that to_csv writes. A sidecar without a
         noise key (written before it had one) reads as simulate's default
-        noise for its parameters."""
+        noise for its parameters. A series file without rows of three values,
+        or a sidecar that is not an object of to_csv's keys, raises
+        ValueError."""
         path = as_path(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = [line for line in path.read_text().splitlines()[1:] if line.strip()]
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else None
+        if data is None or data.shape[1] != 3:
+            raise ValueError(f"{path} must hold a header line and rows of x, eps and v")
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        seed, burn_in, noise = meta.pop("seed"), meta.pop("burn_in"), meta.pop("noise", None)
-        return cls(
-            x=data[:, 0], eps=data[:, 1], v=data[:, 2], params=ModelParams(**meta),
-            seed=tuple(seed) if isinstance(seed, list) else seed, burn_in=burn_in,
-            noise=None if noise is None else NoiseSpec(**noise),
-        )
+        try:
+            meta = {**meta}  # TypeError unless a JSON object
+            seed, burn_in, noise = meta.pop("seed"), meta.pop("burn_in"), meta.pop("noise", None)
+            params, noise = ModelParams(**meta), None if noise is None else NoiseSpec(**noise)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trajectory sidecar: {exc!r}") from exc
+        return cls(x=data[:, 0], eps=data[:, 1], v=data[:, 2], params=params,
+                   seed=tuple(seed) if isinstance(seed, list) else seed, burn_in=burn_in,
+                   noise=noise)
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx); every hash is

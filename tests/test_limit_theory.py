@@ -10,6 +10,7 @@ import ardw
 import ardw.limit_theory as lt
 from ardw.errors import (
     BadVariance,
+    NoConvergence,
     NotPositiveDefinite,
     SingularB,
     UnstableRho,
@@ -347,6 +348,12 @@ class TestLyapunovOracle:
     def test_max_lag_below_p_plus_1_rejected(self, theta, max_lag):
         with pytest.raises(ValueError, match=f"max_lag must be >= p\\+1 = {len(theta) + 1}"):
             ardw.lyapunov_lambda_oracle(params(theta, 0.2), max_lag)
+
+    def test_iteration_cap_raises_no_convergence(self, monkeypatch):
+        # this AR(1) set converges on the 26th iteration; 5 hit the cap
+        monkeypatch.setattr(lt, "_ORACLE_ITERATIONS", 5)
+        with pytest.raises(NoConvergence, match="stationary covariance iteration hit the cap"):
+            ardw.lyapunov_lambda_oracle(params([0.5], 0.3), 2)
 
     def test_sigma2_free(self):
         a = ardw.lyapunov_lambda_oracle(params([0.4, -0.3], 0.2, sigma2=1.0), 3)

@@ -1,8 +1,10 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import ardw.montecarlo
 from ardw.cli import run
 from ardw.errors import ArdwError
 from ardw.estimators import lag_matrix
-from ardw.montecarlo import DEFAULT_SUITE, _lu_solve, _theta_hat_blocks
+from ardw.montecarlo import DEFAULT_SUITE, _ldl_solve, _theta_hat_blocks
 from ardw.simulate import NoiseSpec
 from ardw.text import json_text
 
@@ -39,45 +41,102 @@ class ZeroNoise(NoiseSpec):
 
 def lag_matrix_theta_hat_blocks(x, p, start):
     """_theta_hat_blocks written with a lag matrix, broadcast (n, p, p) Gram
-    products and one cumsum over the whole path: the reference for the bits
-    of every stage, cut into the blocks _theta_hat_blocks yields."""
+    products and one cumsum over the whole path, each block solved by
+    _ldl_solve or, where it declines, np.linalg.solve: the reference for the
+    bits of every stage's sums, cut into the blocks _theta_hat_blocks yields."""
     L = lag_matrix(x, p)
     gram = np.cumsum(L[:, :, None] * L[:, None, :], axis=0)
     num = np.cumsum(L * x[1:, None], axis=0)
     rows = max(1, ardw.montecarlo.BLOCK_ELEMENTS // (2 * p * (p + 1)))
+    i, j = np.triu_indices(p)
     for a in range(0, len(L), rows):
         s = max(a, start - 1)
         if s < min(a + rows, len(L)):
             g, b = gram[s:a + rows], num[s:a + rows]
-            if p == 1 and g.all():
-                theta = b / g[:, 0]
+            theta = np.empty(b.shape[::-1])
+            if _ldl_solve(g[:, i, j], b, theta):
+                yield s + 1, theta.T
             else:
-                theta = np.linalg.solve(g, b[:, :, None])[..., 0]
-            yield s + 1, theta
+                yield s + 1, np.linalg.solve(g, b[:, :, None])[..., 0]
 
 
-def gesv_stages(a, b):
-    """np.linalg.solve of each stage system a[i] x = b[i] by itself: its
-    bytes, or the repr of its error."""
-    out = []
-    for ai, bi in zip(a, b):
-        try:
-            with np.errstate(all="ignore"):
-                out.append(np.linalg.solve(ai, bi).tobytes())
-        except np.linalg.LinAlgError as exc:
-            out.append(repr(exc))
-    return out
+def solve_bound(a, x):
+    """The fixed bound on |x - np.linalg.solve(a, b)| for a solution x of an
+    SPD stage system a x = b: 16 p^2 eps cond(a) |x|, in 2-norms. Both
+    solvers are backward stable, to c p eps |a| each."""
+    p = len(x)
+    return 16 * p * p * np.finfo(float).eps * np.linalg.cond(a) * np.linalg.norm(x)
 
 
-def lu_stages(a, b):
-    """_lu_solve of the stacked symmetric systems a x = b, given their upper
+def numbers(obj) -> list:
+    """The numbers of a report, its dicts and lists read in order."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return [v for e in obj for v in numbers(e)] if isinstance(obj, list) else [obj]
+
+
+def scalar_ldl(a, b):
+    """The stage system a x = b (a read from its upper triangle) solved by
+    A = L D L^T in Python floats, in _ldl_solve's order of operations: x as
+    a list, or None where a pivot is below the smallest normal double (zero
+    and negative included) or a value given or computed is not finite."""
+    p = len(b)
+    w = [[float(v) for v in row] + [float(bi)] for row, bi in zip(a, b)]
+    seen = [v for i, row in enumerate(w) for v in row[i:]]
+    for k in range(p):
+        if not w[k][k] >= sys.float_info.min:
+            return None
+        for i in range(k + 1, p):
+            w[i][k] = w[k][i] / w[k][k]  # L[i][k], in the lower triangle
+            seen.append(w[i][k])
+        for i in range(k + 1, p):
+            for j in range(i, p + 1):  # row i of the reduced A, then y_i
+                t = w[i][k] * w[k][j]
+                w[i][j] = w[i][j] - t
+                seen += [t, w[i][j]]
+    x = [w[i][p] / w[i][i] for i in range(p)]
+    seen += x
+    for k in range(p - 1, 0, -1):
+        for j in range(k):
+            t = w[k][j] * x[k]
+            x[j] = x[j] - t
+            seen += [t, x[j]]
+    return x if all(map(math.isfinite, seen)) else None
+
+
+def ldl_stages(a, b):
+    """_ldl_solve of the stacked symmetric systems a x = b, given their upper
     triangles as _theta_hat_blocks gives them: the bytes of each stage's
     solution, or None where it declines the block."""
     m, p = b.shape
-    out = np.empty((m, p))
+    out = np.empty((p, m))
     rows, cols = np.triu_indices(p)
-    solved = _lu_solve(a[:, rows, cols], b, out)
-    return [row.tobytes() for row in out] if solved else None
+    solved = _ldl_solve(a[:, rows, cols], b, out)
+    return [row.tobytes() for row in out.T] if solved else None
+
+
+def edge_systems(p):
+    """Stage systems at the edges of _ldl_solve's rule, each with whether it
+    is declined: identity systems whose last pivot is the smallest normal
+    double or below it (zero, -0.0 and negative), or not finite; an infinite
+    or NaN numerator; a solution that overflows; and for p >= 2 an infinite
+    off-diagonal entry and a positive diagonal whose second pivot is -3."""
+    tiny, cases = np.finfo(float).tiny, []
+    for pivot, declined in ((tiny, False), (tiny / 2, True), (0.0, True), (-0.0, True),
+                            (-1.0, True), (np.inf, True), (np.nan, True)):
+        a = np.eye(p)
+        a[-1, -1] = pivot
+        cases.append((a, np.ones(p), declined))
+    for value in (np.inf, np.nan):
+        cases.append((np.eye(p), np.full(p, value), True))
+    cases.append((np.eye(p) * 1e-300, np.full(p, 1e300), True))
+    if p >= 2:
+        for value in (np.inf, 2.0):
+            a = np.eye(p)
+            a[0, 1] = a[1, 0] = value
+            cases.append((a, np.ones(p), True))
+    a, b, declined = zip(*cases)
+    return np.array(a), np.array(b), list(declined)
 
 
 def stage_systems(family, rng, p, m, scale):
@@ -458,10 +517,10 @@ class TestRateDiagnostic:
         ]
         assert digests == [
             "caca52b26c16a8c2163a0b95d7bf6657a54557bfb5ca77ed70c0a5e974017a08",
-            "e313ea784e400bb32c1c1f58e938ec06b98776b47b84b331e21ed0e540a49139",
-            "76c4fde9b911c3f0ce046955ea87de93e9eb8c637767235c0bb7628228fef8a7",
-            "c8bfc70cbed8b49e45693d4fd1598fa62bf9c76f9e298e13b04a58c9a2e62488",
-            "62e2745891685a7b7e076a39778a6d0233f68e7435f53e1adc3390eea6cdd36e",
+            "26c9a8063e662cb5ec3a771f0437ba2a0ac23419887e976a875e2edd580d6e2c",
+            "9fb92d67bb80f6e55a866008345fc2663efad426760e5d5d460e0c6af06e48af",
+            "58d5ac33c6994a174644f15e040d6975ad13d808b8cd94b94b7410baca8e079d",
+            "7d2f8fba606adb13063d3844aaf0ad0c07b1cc8a031dc17fb2d0dfd76cc21112",
         ]
 
     def test_report_golden_student_t_and_p4(self):
@@ -478,8 +537,28 @@ class TestRateDiagnostic:
         ]
         assert digests == [
             "bacd6914314f00efb48efe36cce9ea0f5288477b41891d34eb974dbb09312a6b",
-            "83df0ddc1c6a6d07b6a159b4101c796a7cff705aa1c4015d7a3aa2da698308dc",
+            "bcbf3025123d5cdccc2b08e2cbfe66b0767116056621c854de6b580bdf4322b2",
         ]
+
+    @pytest.mark.parametrize("prm, n, seed, noise", [
+        (DEFAULT_SUITE[4], 70_000, 3, None),
+        (ardw.ModelParams(p=6, theta=[0.1] * 6, rho=0), 61, 0, None),
+        (DEFAULT_SUITE[4], 2000, 1203, None),
+        (DEFAULT_SUITE[3], 131_073, 5, NoiseSpec(family="student_t", df=4.5)),
+        (ardw.ModelParams(p=4, theta=[0.3, -0.2, 0.1, 0.15], rho=-0.3), 30_000, 4, None),
+        *[(DEFAULT_SUITE[pid], 5000, 3, NoiseSpec(sigma2=sigma2))
+          for pid in (3, 4) for sigma2 in (1e250, 1e300)],
+    ], ids=["p3_n70000", "p6_n61", "p3_n2000", "p2_student_t", "p4_n30000",
+            "p2_1e250", "p2_1e300", "p3_1e250", "p3_1e300"])
+    def test_pinned_reports_are_within_the_bound_of_solve(self, prm, n, seed, noise):
+        # every number of each pinned p >= 2 report is within a relative
+        # 1e-9 (or 1e-12 absolute) of the report np.linalg.solve gives when
+        # it solves every stage
+        report = ardw.rate_diagnostic(prm, n, seed=seed, noise=noise)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ardw.montecarlo, "_ldl_solve", lambda gram, num, out: False)
+            want = ardw.rate_diagnostic(prm, n, seed=seed, noise=noise)
+        assert numbers(report) == pytest.approx(numbers(want), rel=1e-9, abs=1e-12)
 
     @given(st.integers(0, 2**32), st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
            st.integers(51, 3000), st.integers(1, 2**16),
@@ -526,30 +605,66 @@ class TestRateDiagnostic:
             mp.setattr(ardw.montecarlo, "BLOCK_ELEMENTS", cap)
             assert stages(_theta_hat_blocks) == stages(lag_matrix_theta_hat_blocks)
 
-    @given(st.integers(0, 2**32), st.integers(1, 5),
-           st.sampled_from(["dense", "gram", "ties", "tied_lags", "zeros"]),
+    @given(st.integers(0, 2**32), st.integers(1, 8),
+           st.sampled_from(["gram", "tied_lags", "zeros"]),
            st.sampled_from([1e-160, 1.0, 1e140, 1e154]), st.integers(1, 40))
-    @example(7, 3, "ties", 1.0, 40)  # equal |c_i|: the first is the pivot
-    @example(8, 5, "dense", 1.0, 40)  # 4- and 5-term fused chains
+    @example(7, 3, "tied_lags", 1.0, 40)  # integer sums, some singular
+    @example(8, 8, "gram", 1.0, 40)  # the longest chains of updates
+    @example(15, 6, "gram", 1e140, 40)  # sums near the top of the normal range
     @example(9, 2, "gram", 1e-160, 10)  # subnormal pivots: declined
     @example(10, 4, "zeros", 1.0, 40)  # zero products and -0.0 entries
-    def test_lu_solve_has_the_bits_of_gesv(self, seed, p, family, scale, m):
-        # _lu_solve declines a block if it declines any of its stages alone
-        # (the block then goes to np.linalg.solve), and it takes every block
-        # of finite systems well inside the normal range. The stages it
-        # takes, as one block, have the bytes LAPACK's gesv gives each alone
+    def test_ldl_solve_has_the_bits_of_a_scalar_ldl(self, seed, p, family, scale, m):
+        # the stages _ldl_solve takes, solved as one block, have the bytes of
+        # the same L D L^T in Python floats, one stage at a time
         a, b = stage_systems(family, np.random.default_rng(seed), p, m, scale)
-        kept = [i for i in range(m) if lu_stages(a[i:i + 1], b[i:i + 1]) is not None]
-        assert (lu_stages(a, b) is None) == (len(kept) < m)
-        if family in ("dense", "gram") and scale in (1.0, 1e140):
+        want = [scalar_ldl(ai, bi) for ai, bi in zip(a, b)]
+        kept = [i for i, x in enumerate(want) if x is not None]
+        if family == "gram" and scale in (1.0, 1e140):
             assert len(kept) == m
         if kept:
-            assert lu_stages(a[kept], b[kept]) == gesv_stages(a[kept], b[kept])
+            assert ldl_stages(a[kept], b[kept]) == [
+                np.array(want[i]).tobytes() for i in kept]
 
-    def test_lu_solve_declines_past_p5(self):
-        # from p = 6 every block goes to np.linalg.solve
-        a, b = stage_systems("dense", np.random.default_rng(11), 6, 3, 1.0)
-        assert lu_stages(a, b) is None
+    @given(st.integers(0, 2**32), st.integers(1, 8), st.sampled_from(["gram", "tied_lags"]),
+           st.sampled_from([1e-150, 1.0, 1e140]), st.integers(1, 40))
+    @example(11, 8, "gram", 1.0, 40)
+    @example(12, 5, "tied_lags", 1e-150, 40)
+    def test_ldl_solve_is_within_the_bound_of_solve(self, seed, p, family, scale, m):
+        # on SPD stages of condition number up to 1e10 (sums of products of
+        # lags, each A = L^T L), every solution is within solve_bound of
+        # np.linalg.solve's, stage by stage
+        a, b = stage_systems(family, np.random.default_rng(seed), p, m, scale)
+        spd = [i for i in range(m) if np.linalg.cond(a[i]) <= 1e10
+               and np.linalg.eigvalsh(a[i])[0] > 0]
+        if not spd:
+            return
+        out = np.empty((p, len(spd)))
+        rows, cols = np.triu_indices(p)
+        assert _ldl_solve(a[spd][:, rows, cols], b[spd], out)
+        for i, x in zip(spd, out.T):
+            want = np.linalg.solve(a[i], b[i])
+            assert np.linalg.norm(x - want) <= solve_bound(a[i], want)
+
+    @given(st.integers(0, 2**32), st.integers(1, 8),
+           st.sampled_from(["dense", "gram", "ties", "tied_lags", "zeros"]),
+           st.sampled_from([1e-160, 1.0, 1e140, 1e154]), st.integers(1, 20))
+    @example(13, 3, "dense", 1.0, 20)  # indefinite: negative pivots
+    @example(14, 1, "zeros", 1.0, 20)  # zero and -0.0 pivots at p = 1
+    def test_ldl_solve_declines_exactly_where_a_pivot_or_entry_fails(self, seed, p, family,
+                                                                     scale, m):
+        # a stage is declined exactly when the scalar L D L^T meets a pivot
+        # below the smallest normal double or a value that is not finite,
+        # and a block exactly when one of its stages is. The edge systems
+        # decline as edge_systems says, whatever stages share their block
+        a, b = stage_systems(family, np.random.default_rng(seed), p, m, scale)
+        ea, eb, edge = edge_systems(p)
+        a, b = np.concatenate([a, ea]), np.concatenate([b, eb])
+        declined = [scalar_ldl(ai, bi) is None for ai, bi in zip(a, b)]
+        assert declined[m:] == edge
+        assert [ldl_stages(a[i:i + 1], b[i:i + 1]) is None for i in range(len(a))] == declined
+        assert ldl_stages(a, b) is None
+        kept = [i for i in range(len(a)) if not declined[i]]
+        assert ldl_stages(a[kept], b[kept]) is not None
 
     @pytest.mark.parametrize("theta", [[0.5], [0.4, -0.3], [0.3, -0.2, 0.25],
                                        [0.3, -0.2, 0.1, 0.15], [0.1] * 5, [0.1] * 6],
@@ -598,14 +713,14 @@ class TestRateDiagnostic:
         assert peaks[1] - peaks[0] <= 26 * 100_000
 
     @pytest.mark.parametrize("pid, sigma2, digest", [
-        (3, 1e250, "b9f2800f34bd203c5576b30e5d84b7f32fed75b7b600d1dfc322b3f1f30e6432"),
-        (3, 1e300, "ff8aee04d2e1ead031a253fcba69f0a2651b11427ebcd1da7a846bed6ad1ac3f"),
-        (4, 1e250, "6e9fce2c7a3984167913470c0b3e0ce486b90282cf38f324917d5536cf137f3b"),
-        (4, 1e300, "7dc1684eed37d5b996a0772926f5fb379e1c7e147cb7d140f9eea2af7a77f521"),
+        (3, 1e250, "df11e9b5f45462345af3e4f5446b755acf86f6aeb90812ca7ca6f2702e020d3c"),
+        (3, 1e300, "75a1cefb87b610741802e7a3ff4f40ed249c523fb64cf3d3a04c0aa7527655d4"),
+        (4, 1e250, "3f2e70a9004b5682d6d43827b68dce53267b96c3caa412975f5758e55df1f8e6"),
+        (4, 1e300, "a74705fca397676de2063a3445bebf933077070eb33a6a84610945b1960a5a48"),
     ], ids=["p2_1e250", "p2_1e300", "p3_1e250", "p3_1e300"])
     def test_near_overflow_same_report_and_no_warning(self, pid, sigma2, digest):
         # paths of scale 1e125 and 1e150, whose Gram sums overflow at 1e300:
-        # the reports np.linalg.solve gave for every stage, and no warning
+        # the reports of _ldl_solve's stage estimates, and no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = ardw.rate_diagnostic(DEFAULT_SUITE[pid], 5000, seed=3,
@@ -630,7 +745,7 @@ class TestRateDiagnostic:
     @pytest.mark.parametrize("n", [100_000, 200_000])
     def test_stage_loop_peak_is_one_block(self, monkeypatch, n):
         # what rate_diagnostic holds beyond its path once the path exists, in
-        # blocks of BLOCK_ELEMENTS doubles at p = 3, read 2.30 and 2.27 at
+        # blocks of BLOCK_ELEMENTS doubles at p = 3, read 1.80 and 1.77 at
         # these n: it does not grow with n. A padded copy of the path (8 bytes
         # a step) read 3.82 and 5.32
         prm, base = DEFAULT_SUITE[4], []

@@ -295,6 +295,52 @@ class TestSerialization:
                                              "length, got "):
             Trajectory(**paths, params=STANDARD, seed=13)
 
+    @pytest.mark.parametrize("seed, burn_in", [("x", 0), (1.5, 0), ((), 0), ((1, "x"), 0),
+                                               (1, -1), (1, 2.0), (1, None)],
+                             ids=["seed_str", "seed_float", "seed_empty", "seed_tuple_str",
+                                  "burn_in_negative", "burn_in_float", "burn_in_none"])
+    def test_seed_and_burn_in_checked_as_simulate_checks_them(self, seed, burn_in):
+        traj = ardw.simulate(STANDARD, 50, seed=13)
+        with pytest.raises(ValueError, match="seed|burn_in"):
+            Trajectory(x=traj.x, eps=traj.eps, v=traj.v, params=STANDARD, seed=seed,
+                       burn_in=burn_in)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: {k: v for k, v in s.items() if k != "seed"}, "malformed trajectory sidecar"),
+        (lambda s: list(s.items()), "malformed trajectory sidecar"),
+        (lambda s: "abc", "malformed trajectory sidecar"),
+        (lambda s: {**s, "colour": 1}, "malformed trajectory sidecar"),
+        (lambda s: {**s, "noise": 3}, "malformed trajectory sidecar"),
+        (lambda s: {**s, "seed": "x"}, "seed must be an integer"),
+        (lambda s: {**s, "seed": [1, 1.5]}, "seed must be an integer"),
+        (lambda s: {**s, "burn_in": -1}, "burn_in must be >= 0"),
+    ], ids=["no_seed", "list", "string", "unknown_key", "noise_int", "seed_str",
+            "seed_list_float", "burn_in_negative"])
+    def test_malformed_sidecar_raises_value_error(self, tmp_path, edit, message):
+        path = tmp_path / "traj.csv"
+        ardw.simulate(STANDARD, 20, seed=4).to_csv(path)
+        sidecar = path.with_suffix(".csv.json")
+        sidecar.write_text(json.dumps(edit(json.loads(sidecar.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            Trajectory.from_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+        lambda lines: lines[:1],
+        lambda lines: lines[:1] + ["", ""],
+        lambda lines: [],
+    ], ids=["two_columns", "header_only", "blank_rows", "empty"])
+    def test_series_without_rows_of_three_raises_value_error(self, tmp_path, edit):
+        # and without numpy's warning of a file that holds no data
+        path = tmp_path / "traj.csv"
+        ardw.simulate(STANDARD, 20, seed=4).to_csv(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match="must hold a header line and rows of x, eps "
+                                             "and v"):
+            Trajectory.from_csv(path)
+
     def test_tuple_seed_round_trip(self, tmp_path):
         traj = ardw.simulate(STANDARD, 50, seed=(7, 0, 50, 3))
         path = tmp_path / "traj.csv"
