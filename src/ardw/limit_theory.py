@@ -77,7 +77,7 @@ class ModelParams:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         for name in ("rho", "sigma2"):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_reals(name, getattr(self, name), scalar=True))
         if theta.ndim != 1 or theta.shape[0] != self.p or self.p < 1:
             raise ValueError(f"theta must be a vector of length p={self.p}")
         check_stability(self)
@@ -99,21 +99,19 @@ def _check_params(params, name: str = "params") -> None:
         raise ValueError(f"{name} must be a ModelParams, got {params!r}")
 
 
-def _check_real(name: str, value) -> float:
-    """value as a float; a bool, a string, None or an array raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _check_reals(name: str, value) -> np.ndarray:
-    """value as a float array; complex input, or one numpy cannot read as float: ValueError."""
+def _check_reals(name: str, value, scalar: bool = False):
+    """value as a float array, or as a float if scalar: what numpy reads as
+    ints or floats (dtype kind i, u or f), and if scalar 0-D and not an
+    ndarray. Anything else raises ValueError: a bool, a string, None, a
+    complex, an object, a ragged list or an int past uint64."""
     try:
-        if not np.iscomplexobj(value):
-            return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must hold real numbers, got {value!r}")
+        a = np.asarray(value)
+    except ValueError:  # a ragged list: refused as None is
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or scalar and (a.ndim or isinstance(value, np.ndarray)):
+        what = "be a real number" if scalar else "hold real numbers"
+        raise ValueError(f"{name} must {what}, got {value!r}")
+    return float(a) if scalar else a.astype(float, copy=False)
 
 
 def _check_array(name: str, a, ndim: int) -> np.ndarray:

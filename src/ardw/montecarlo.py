@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArdwError, RowErrors
-from .estimators import fit
+from .estimators import _dot, fit
 from .limit_theory import LimitSummary, ModelParams, _check_integer, _check_params, limit_summary
 from .serial_tests import TEST_NAMES, _check_level, _check_names, outcome_masks
 from .simulate import NoiseSpec, _check_length, _linear_filter, _paths, simulate
@@ -345,9 +345,7 @@ def rate_diagnostic(
     # the error and the running sum of its outer products, read at each
     # checkpoint as its block passes. The sum covers the upper triangle
     # (i <= j) in row order; errors are held one row per component, so that
-    # each multiplication runs along the stages of the block. The error
-    # column is copied: e @ e of a strided column of 4 or more terms sums in
-    # another order.
+    # each multiplication runs along the stages of the block.
     rows, cum_upper = [], None
     tr_sigma = float(np.trace(limits.Sigma_theta))
     for k0, theta in _theta_hat_blocks(x, p, start):
@@ -355,9 +353,9 @@ def rate_diagnostic(
         cum_upper = _product_sums(err, _pairs(p), cum_upper)
         for cp in checkpoints:
             if k0 <= cp < k0 + len(theta):
-                e = err[:, cp - k0].copy()
+                e = err[:, cp - k0]
                 qsl = _mirror(cum_upper[cp - k0], np.empty((p, p))) / np.log(cp)
-                lil = cp * float(e @ e) / (2.0 * np.log(np.log(cp)))
+                lil = cp * float(_dot(e, e)) / (2.0 * np.log(np.log(cp)))
                 rows.append(
                     {
                         "n": cp,

@@ -19,7 +19,7 @@ from .errors import (
 from .estimators import (
     NEAR_ZERO_THETA_P, FitResult, _checked_solve, _dot, _residual_energy, lag_matrix,
 )
-from .limit_theory import _check_real, _check_reals
+from .limit_theory import _check_reals
 from .text import csv_text, record_dict
 
 _math_erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -31,32 +31,26 @@ def _erfc(x):
     return np.asarray(_math_erfc(x), dtype=float)[()]
 
 
-def _statistic(x) -> np.ndarray:
-    """x as an array; anything but a real number or array raises ValueError."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "iuf":
-        raise ValueError(f"statistic must be a real number or array, got {x!r}")
-    return a
-
-
 def chi2_sf(x):
-    """Upper tail of the chi-square distribution with one degree of freedom."""
-    x = _statistic(x)
+    """Upper tail of the chi-square distribution with one degree of freedom.
+    An x that does not hold real numbers raises ValueError."""
+    x = _check_reals("statistic", x)
     if np.any(x < 0.0):
         raise DomainError("chi-square statistic must be nonnegative")
     return _erfc(np.sqrt(x / 2.0))
 
 
 def normal_sf(x):
-    """Upper tail of the standard normal distribution."""
-    return 0.5 * _erfc(_statistic(x) / math.sqrt(2.0))
+    """Upper tail of the standard normal distribution. An x that does not
+    hold real numbers raises ValueError."""
+    return 0.5 * _erfc(_check_reals("statistic", x) / math.sqrt(2.0))
 
 
 def chi2_quantile(q: float) -> float:
     """(q)-quantile of the one-degree chi-square distribution: the square of
     the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1).
     A q that is not a real number raises ValueError."""
-    q = _check_real("q", q)
+    q = _check_reals("q", q, scalar=True)
     if not 0.0 < q < 1.0:
         raise DomainError("quantile level must be in (0, 1)")
     from statistics import NormalDist  # fractions and decimal, on first use only
@@ -174,7 +168,7 @@ def _check_names(names) -> None:
 
 
 def _check_level(level) -> float:
-    level = _check_real("level", level)
+    level = _check_reals("level", level, scalar=True)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     return level

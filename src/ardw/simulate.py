@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .limit_theory import ModelParams, _check_integer, _check_params, _check_real
+from .limit_theory import ModelParams, _check_integer, _check_params, _check_reals
 from .text import as_path, csv_text, json_text, record_dict
 
 _FAMILIES = ("gaussian", "uniform", "student_t", "rademacher")
@@ -42,7 +42,7 @@ class NoiseSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         for name in ("sigma2", "df"):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_reals(name, getattr(self, name), scalar=True))
         if not (0.0 < self.sigma2 < np.inf):
             raise ValueError("sigma2 must be finite and > 0")
         if self.family == "uniform" and not np.isfinite(np.sqrt(3.0 * self.sigma2)):

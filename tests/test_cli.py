@@ -349,6 +349,14 @@ class TestPowerCommand:
          ({"params_list": [{"p": 1, "theta": [0.5], "rho": "0.3"}]},
           "rho must be a real number, got '0.3'"),
          ({"level": "0.05"}, "level must be a real number, got '0.05'"),
+         ({"level": 10**400}, "level must be a real number, got 1000"),
+         ({"params_list": [{"p": 1, "theta": [0.5], "rho": 10**400}]},
+          "rho must be a real number, got 1000"),
+         ({"params_list": [{"p": 1, "theta": [0.5], "rho": 0.0, "sigma2": 10**400}]},
+          "sigma2 must be a real number, got 1000"),
+         ({"noise": {"sigma2": 10**400}}, "sigma2 must be a real number, got 1000"),
+         ({"params_list": [{"p": 1, "theta": ["0.5"], "rho": 0.0}]},
+          "theta must hold real numbers, got ['0.5']"),
          ({"level": 2}, "level must be in (0, 1), got 2.0"),
          ({"tests": "dw_chi2"}, "tests must be a list, got 'dw_chi2'"),
          ({"tests": ""}, "tests must be a list, got ''"),
@@ -365,6 +373,8 @@ class TestPowerCommand:
              "burn_in_negative", "noise_unknown_key", "noise_sigma2_inf",
              "noise_df_inf", "noise_df_string", "noise_sigma2_bool", "misspelt_key",
              "p_bool", "p_float", "p_string", "rho_string", "level_string",
+             "level_400_digits", "rho_400_digits", "sigma2_400_digits",
+             "noise_sigma2_400_digits", "theta_numeric_string",
              "level_out_of_range", "tests_string", "tests_empty_string",
              "n_list_empty_string", "n_list_int", "noise_uniform_sigma2_overflows",
              "n_list_repeated", "tests_repeated"],

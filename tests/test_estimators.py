@@ -113,9 +113,10 @@ class TestOlsTheta:
 
 @pytest.mark.parametrize("bad", [
     np.ones(10) * 1j, [1j] * 10, np.ones(10, dtype=np.complex64), [{"a": 1}] * 10,
-    np.array([object()] * 10), ["one"] * 10, [10**400] * 10,
+    np.array([object()] * 10), ["one"] * 10, [10**400] * 10, [2**70] * 10, ["0.5"] * 10,
+    [True] * 10, np.ones(10, dtype=bool),
 ], ids=["complex_array", "complex_list", "complex64", "dicts", "objects", "strings",
-        "huge_ints"])
+        "huge_ints", "ints_past_uint64", "numeric_strings", "bools", "bool_array"])
 def test_values_must_be_real_numbers(bad):
     # numpy casts a complex array to its real part with a warning only
     f = ardw.fit(np.arange(10.0) % 3, 1)
@@ -128,12 +129,18 @@ def test_values_must_be_real_numbers(bad):
 
 
 def test_real_inputs_keep_their_bits():
-    # ints, bools and numeric strings read as numpy's float conversion does
+    # ints read as numpy's float conversion does, and so does a list numpy
+    # reads as ints though it holds a bool; numeric strings and bools raise
     x = [1, 0, 2, True, 1, 3, 0, 2]
     want = ardw.fit(np.array(x, dtype=float), 1)
-    for same in (x, [str(v) for v in np.array(x, dtype=float)]):
+    for same in (x, np.array(x, dtype=np.uint64), np.array(x, dtype=np.int8)):
         assert ardw.fit(same, 1).to_dict() == want.to_dict()
-    assert ardw.ModelParams(p=2, theta=["0.25", 0], rho=0.1).theta.tolist() == [0.25, 0.0]
+    assert ardw.ModelParams(p=2, theta=[0.25, 0], rho=0.1).theta.tolist() == [0.25, 0.0]
+    for bad in ([str(v) for v in np.array(x, dtype=float)], [True, False] * 4):
+        with pytest.raises(ValueError, match="^x must hold real numbers, got "):
+            ardw.fit(bad, 1)
+    with pytest.raises(ValueError, match="^theta must hold real numbers, got "):
+        ardw.ModelParams(p=2, theta=["0.25", 0], rho=0.1)
 
 
 KINDS = ("random", "near_singular", "gram", "indefinite", "zero", "nan", "inf")

@@ -116,7 +116,9 @@ class TestStability:
 
     @pytest.mark.parametrize("field, value", [
         ("rho", None), ("rho", "0.3"), ("rho", True), ("rho", np.array([0.3])),
-        ("sigma2", None), ("sigma2", "2"), ("sigma2", True),
+        ("rho", 10**400), ("rho", 2**70), ("rho", ["0.5"]), ("rho", [True]),
+        ("sigma2", None), ("sigma2", "2"), ("sigma2", True), ("sigma2", 10**400),
+        ("sigma2", 2**70),
     ])
     def test_non_real_rho_or_sigma2_rejected(self, field, value):
         kw = {"rho": 0.3, "sigma2": 1.0, field: value}

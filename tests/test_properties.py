@@ -104,6 +104,46 @@ def test_limit_summary_invariants(kw):
         assert np.max(np.abs(s.Lambda - oracle)) <= 1e-9 * max(1.0, s.Lambda[0])
 
 
+# what a real-number argument may be given in error, alone or in lists
+# (ragged ones among them), and a few real values that put the calls past
+# their checks
+odd_reals = st.recursive(
+    st.sampled_from([None, True, "x", "0.5", 1j, 10**400, 2**70, np.array(0.5), np.ones((2, 2)),
+                     math.nan, math.inf, -math.inf, {"a": 1}, 0.5, 3, -1.5]),
+    lambda kids: st.lists(kids, max_size=4),
+    max_leaves=5,
+)
+X = np.arange(20.0) % 3
+FIT = ardw.fit(X, 1)
+REAL_ARGUMENTS = (
+    lambda v: ardw.ModelParams(p=1, theta=v, rho=0.1),
+    lambda v: ardw.ModelParams(p=1, theta=[0.5], rho=v),
+    lambda v: ardw.ModelParams(p=1, theta=[0.5], rho=0.1, sigma2=v),
+    lambda v: ardw.NoiseSpec(sigma2=v),
+    lambda v: ardw.NoiseSpec(family="student_t", df=v),
+    lambda v: ardw.fit(v, 1),
+    lambda v: ardw.yule_walker_fit(v, 1),
+    lambda v: run_tests(v, FIT),
+    lambda v: run_tests(X, FIT, level=v),
+    lambda v: ardw.dw_chi2_test(FIT, v),
+    lambda v: ardw.chi2_sf(v),
+    lambda v: ardw.normal_sf(v),
+    lambda v: ardw.chi2_quantile(v),
+    lambda v: ardw.StudyConfig(params_list=(), n_list=(100,), level=v),
+)
+
+
+@settings(max_examples=100)
+@given(odd_reals)
+@example(10**400)
+@example([[0.5], [0.5, 0.5]])
+def test_real_number_arguments_return_or_raise_value_error(value):
+    # never TypeError or OverflowError, whatever numpy makes of the value
+    for call in REAL_ARGUMENTS:
+        with contextlib.suppress(ValueError, ArdwError):
+            call(value)
+
+
 # values of the wrong kind; never an integer, so no drawn size is unbounded
 junk = st.one_of(
     st.none(), st.booleans(), st.floats(), st.text(max_size=4),

@@ -91,12 +91,20 @@ class TestDistributionUtilities:
     @pytest.mark.parametrize("call, message", [
         (lambda: chi2_quantile("0.5"), "q must be a real number, got '0.5'"),
         (lambda: chi2_quantile(np.array([0.5, 0.9])), "q must be a real number, got array("),
-        (lambda: chi2_sf("x"), "statistic must be a real number or array, got 'x'"),
-        (lambda: normal_sf(None), "statistic must be a real number or array, got None"),
+        (lambda: chi2_quantile(10**400), "q must be a real number, got 1000"),
+        (lambda: chi2_quantile(2**70), "q must be a real number, got 1180591620717411303424"),
+        (lambda: chi2_sf("x"), "statistic must hold real numbers, got 'x'"),
+        (lambda: normal_sf(None), "statistic must hold real numbers, got None"),
+        (lambda: chi2_sf(10**400), "statistic must hold real numbers, got 1000"),
+        (lambda: normal_sf([2**70]),
+         "statistic must hold real numbers, got [1180591620717411303424]"),
+        (lambda: chi2_sf(["0.5"]), "statistic must hold real numbers, got ['0.5']"),
+        (lambda: normal_sf([True]), "statistic must hold real numbers, got [True]"),
         (lambda: ardw.outcomes_to_csv([1]), "outcomes must be a list of TestOutcome, got [1]"),
         (lambda: ardw.outcomes_to_csv(None), "outcomes must be a list of TestOutcome, got None"),
-    ], ids=["quantile_str", "quantile_array", "chi2_sf_str", "normal_sf_none", "csv_int",
-            "csv_none"])
+    ], ids=["quantile_str", "quantile_array", "quantile_huge_int", "quantile_int_past_uint64",
+            "chi2_sf_str", "normal_sf_none", "chi2_sf_huge_int", "normal_sf_int_past_uint64",
+            "chi2_sf_numeric_string_list", "normal_sf_bool_list", "csv_int", "csv_none"])
     def test_malformed_arguments_raise_value_error(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
@@ -279,7 +287,8 @@ class TestRunTests:
             with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
                 call()
 
-    @pytest.mark.parametrize("level", ["0.05", None, True, np.array([0.05])])
+    @pytest.mark.parametrize("level", ["0.05", None, True, np.array([0.05]), 10**400, 2**70,
+                                       ["0.05"], [True]])
     def test_non_real_level(self, level):
         f = make_fit(var_theta1=0.0)
         for call in (lambda: run_tests(np.ones(101), f, level=level),

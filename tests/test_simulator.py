@@ -148,9 +148,13 @@ class TestNoiseSpec:
     @pytest.mark.parametrize(
         "kw",
         [{"sigma2": "2"}, {"sigma2": True}, {"sigma2": None}, {"sigma2": np.array([1.0])},
-         {"df": None}, {"df": "5"}, {"df": False}, {"df": np.array(6.0)}],
+         {"sigma2": 10**400}, {"sigma2": 2**70}, {"sigma2": [True]},
+         {"df": None}, {"df": "5"}, {"df": False}, {"df": np.array(6.0)},
+         {"df": 10**400}, {"df": 2**70}, {"df": ["6"]}],
         ids=["sigma2_str", "sigma2_bool", "sigma2_none", "sigma2_array",
-             "df_none", "df_str", "df_bool", "df_0d_array"],
+             "sigma2_huge_int", "sigma2_int_past_uint64", "sigma2_bool_list",
+             "df_none", "df_str", "df_bool", "df_0d_array",
+             "df_huge_int", "df_int_past_uint64", "df_numeric_string_list"],
     )
     def test_non_real_rejected(self, kw):
         name, value = next(iter(kw.items()))
