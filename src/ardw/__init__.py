@@ -29,8 +29,8 @@ _DEFERRED = {
     "estimators": ("FitResult", "fit", "read_series", "yule_walker_fit"),
     "montecarlo": ("DEFAULT_SUITE", "PowerTable", "StudyConfig", "clt_diagnostic",
                    "rate_diagnostic", "size_power_study"),
-    "serial_tests": ("TestOutcome", "chi2_quantile", "chi2_sf", "durbin_h_test",
-                     "dw_chi2_test", "normal_sf", "outcomes_to_csv", "run_tests"),
+    "serial_tests": ("TestOutcome", "chi2_quantile", "durbin_h_test", "dw_chi2_test",
+                     "outcomes_to_csv", "run_tests"),
 }
 
 # every public name, and no submodule

@@ -60,10 +60,6 @@ class SingularAuxiliaryRegression(ArdwError):
     """Auxiliary regression of the Breusch-Godfrey test is singular."""
 
 
-class DomainError(ArdwError):
-    """Argument outside the mathematical domain of a distribution utility."""
-
-
 class RowErrors:
     """The first error of each row of a block, or, made without a row count,
     of one series, which raises it at once; RowErrors(()) records the error

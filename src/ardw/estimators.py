@@ -93,9 +93,11 @@ def lag_matrix(x: np.ndarray, p: int, column: np.ndarray | None = None) -> np.nd
     return L
 
 
-def _ols(x: np.ndarray, p: int, errors: RowErrors):
-    """fit's theta_hat, the Gram matrix S = L.T @ L it solves and the lag matrix
-    L; a series' theta_hat has the bits of np.linalg.solve(S, L.T @ x[1:, None])."""
+def _check_series(x: np.ndarray, p, errors: RowErrors = SERIES) -> np.ndarray:
+    """Every estimator's checks of a real x, in order: p an integer >= 1 and x
+    of the shape of errors' rows, or ValueError; each series finite and below
+    1e150, or ValueError for its row (zeroed in the x returned); at least p+2
+    values, or SingularDesign."""
     _check_integer("p", p, 1)
     _check_rows("x", x, errors.failed.shape)
     big = ~(np.abs(x) < 1e150).all(axis=-1)  # squares and their sums stay finite
@@ -104,6 +106,13 @@ def _ols(x: np.ndarray, p: int, errors: RowErrors):
         x = np.where(big[..., None], 0.0, x)
     if x.shape[-1] < p + 2:
         raise SingularDesign(f"series length {x.shape[-1]} < p+2 = {p + 2}")
+    return x
+
+
+def _ols(x: np.ndarray, p: int, errors: RowErrors):
+    """fit's theta_hat, the Gram matrix S = L.T @ L it solves and the lag matrix
+    L; a series' theta_hat has the bits of np.linalg.solve(S, L.T @ x[1:, None])."""
+    x = _check_series(x, p, errors)
     L = lag_matrix(x, p)
     Lt = L.swapaxes(-1, -2)
     S = Lt @ L
@@ -211,14 +220,10 @@ def yule_walker_fit(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     """Yule-Walker coefficient estimate and the variance of its first entry.
 
     The variance estimate satisfies an exact algebraic identity:
-    1 - n * var_theta1 equals the squared last coefficient. x must be one
-    real series, or ValueError, of length at least p+2, or SingularDesign.
+    1 - n * var_theta1 equals the squared last coefficient. x and p are
+    checked as fit checks one series.
     """
-    x = _check_reals("x", x)
-    p = _check_integer("p", p, 1)
-    _check_rows("x", x, ())
-    if x.shape[0] < p + 2:
-        raise SingularDesign(f"series length {x.shape[0]} < p+2 = {p + 2}")
+    x = _check_series(_check_reals("x", x), p)
     n = x.shape[0] - 1
     # the raw lag sums s_0..s_p, their Toeplitz matrix S and s_1..s_p
     s = np.array([float(x[h:] @ x[: n + 1 - h]) for h in range(p + 1)])

@@ -83,13 +83,15 @@ class ModelParams:
         check_stability(self)
 
 
-def _check_integer(name: str, value, low: int | None = None) -> int:
+def _check_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """value as an int; a non-integer value (a bool included), or one below
-    low if given, raises ValueError."""
+    low or above high if given, raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
     return int(value)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -55,8 +56,9 @@ class StudyConfig:
             if isinstance(value, str) or not np.iterable(value):
                 raise ValueError(f"{name} must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))
-        for name, low in (("reps", 100), ("master_seed", 0), ("burn_in", 0)):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
+        for name, low, high in (("reps", 100, sys.maxsize), ("master_seed", 0, None),
+                                ("burn_in", 0, None)):  # reps is a range's length
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low, high))
         object.__setattr__(self, "n_list", tuple(_check_integer("n", n) for n in self.n_list))
         object.__setattr__(self, "level", _check_level(self.level))
         _check_names(self.tests)
@@ -191,7 +193,7 @@ def clt_diagnostic(
     Fewer than 2 successful fits raise ArdwError.
     """
     _check_params(params)
-    n, reps = _check_integer("n", n), _check_integer("reps", reps, 2)
+    n, reps = _check_integer("n", n), _check_integer("reps", reps, 2, sys.maxsize)
     limits: LimitSummary = limit_summary(params)
     _check_length(params, n)
     seed = _check_integer("seed", seed, 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    SERIES, DegenerateResiduals, DomainError, InapplicableH, NearZeroThetaP, RowErrors,
+    SERIES, DegenerateResiduals, InapplicableH, NearZeroThetaP, RowErrors,
     SingularAuxiliaryRegression,
 )
 from .estimators import (
@@ -31,28 +31,21 @@ def _erfc(x):
     return np.asarray(_math_erfc(x), dtype=float)[()]
 
 
-def chi2_sf(x):
-    """Upper tail of the chi-square distribution with one degree of freedom.
-    An x that does not hold real numbers raises ValueError."""
-    x = _check_reals("statistic", x)
-    if np.any(x < 0.0):
-        raise DomainError("chi-square statistic must be nonnegative")
+def _chi2_sf(x):
+    """Upper tail of the chi-square distribution with one degree of freedom."""
     return _erfc(np.sqrt(x / 2.0))
 
 
-def normal_sf(x):
-    """Upper tail of the standard normal distribution. An x that does not
-    hold real numbers raises ValueError."""
-    return 0.5 * _erfc(_check_reals("statistic", x) / math.sqrt(2.0))
+def _normal_sf(x):
+    """Upper tail of the standard normal distribution."""
+    return 0.5 * _erfc(x / math.sqrt(2.0))
 
 
 def chi2_quantile(q: float) -> float:
     """(q)-quantile of the one-degree chi-square distribution: the square of
     the normal (1-q)/2 quantile (the lower tail keeps full precision as q -> 1).
-    A q that is not a real number raises ValueError."""
-    q = _check_reals("q", q, scalar=True)
-    if not 0.0 < q < 1.0:
-        raise DomainError("quantile level must be in (0, 1)")
+    A q that is not a real number in (0, 1) raises ValueError, as a level does."""
+    q = _check_level(q)
     from statistics import NormalDist  # fractions and decimal, on first use only
 
     return NormalDist().inv_cdf(0.5 * (1.0 - q)) ** 2
@@ -88,8 +81,8 @@ def _dw_chi2(x, fit, errors: RowErrors):
     # itself insignificant
     insignificant = np.abs(tp) < 2.0 * np.sqrt(np.maximum(fit.var_theta1_hat, 0.0))
     stat = fit.n * np.float_power(fit.dw - 2.0, 2) / (4.0 * tp * tp)
-    return stat, chi2_sf(stat), [*((w, True) for w in fit.warnings),
-                                 ("theta_p_possibly_insignificant", insignificant)]
+    return stat, _chi2_sf(stat), [*((w, True) for w in fit.warnings),
+                                  ("theta_p_possibly_insignificant", insignificant)]
 
 
 def _durbin_h(x, fit, errors: RowErrors):
@@ -97,7 +90,7 @@ def _durbin_h(x, fit, errors: RowErrors):
     errors.add(~(radicand > 0.0), InapplicableH,
                lambda i: f"nonpositive radicand 1 - n*var = {radicand[i]:.3g}")
     h = fit.rho_hat * np.sqrt(fit.n / radicand)
-    return h, 2.0 * normal_sf(np.abs(h)), [(w, True) for w in fit.warnings]
+    return h, 2.0 * _normal_sf(np.abs(h)), [(w, True) for w in fit.warnings]
 
 
 def _r1_squared(fit, errors: RowErrors):
@@ -110,13 +103,13 @@ def _r1_squared(fit, errors: RowErrors):
 
 def _box_pierce(x, fit, errors: RowErrors):
     stat = fit.residuals.shape[-1] * _r1_squared(fit, errors)
-    return stat, chi2_sf(stat), []
+    return stat, _chi2_sf(stat), []
 
 
 def _ljung_box(x, fit, errors: RowErrors):
     n = fit.residuals.shape[-1]
     stat = n * (n + 2.0) * _r1_squared(fit, errors) / (n - 1.0)
-    return stat, chi2_sf(stat), []
+    return stat, _chi2_sf(stat), []
 
 
 def _breusch_godfrey(x, fit, errors: RowErrors):
@@ -129,7 +122,7 @@ def _breusch_godfrey(x, fit, errors: RowErrors):
     coef = _checked_solve(Zt @ Z, Zy, SingularAuxiliaryRegression, "auxiliary Gram matrix",
                           errors)
     stat = fit.n * (_dot(coef[..., 0], Zy[..., 0]) / tss)
-    return stat, chi2_sf(np.maximum(stat, 0.0)), []
+    return stat, _chi2_sf(np.maximum(stat, 0.0)), []
 
 
 #: every test under the one signature (x, fit, errors), in reporting order
@@ -234,10 +227,10 @@ def run_tests(
     """
     _check_names(names)
     level = _check_level(level)
-    if np.shape(x) != _check_fit(fit).residuals.shape:
-        raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
-                         f"fit's residuals, got {np.shape(x)}")
     x = _check_reals("x", x)
+    if x.shape != _check_fit(fit).residuals.shape:
+        raise ValueError(f"x must have shape {fit.residuals.shape}, the shape of the "
+                         f"fit's residuals, got {x.shape}")
     return [_one(name, level, x, fit, RowErrors(())) for name in names]
 
 

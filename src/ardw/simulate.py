@@ -52,19 +52,18 @@ class NoiseSpec:
         if self.family == "student_t" and not (self.df > 4.0):
             raise ValueError("student_t noise needs df > 4 (finite 4th moment)")
 
-    def draw(self, rng: np.random.Generator | list, size: int | tuple[int, int]) -> np.ndarray:
-        """Centered innovations with variance exactly sigma2: size of them from
-        one generator, or from a list of generators a block of shape
-        size = (len(rng), m) whose row i is what rng[i] alone draws for m.
-        Any other rng or size raises ValueError."""
-        block, family = isinstance(rng, list), self.family
-        rngs = rng if block else [rng]
-        if not all(isinstance(g, np.random.Generator) for g in rngs):
-            raise ValueError(f"rng must be a numpy Generator or a list of them, got {rng!r}")
-        if block and not (isinstance(size, tuple) and len(size) == 2
-                          and _check_integer("rows", size[0]) == len(rng)):
-            raise ValueError(f"size must be the pair (len(rng), m), got {size!r}")
-        m = _check_integer("m" if block else "size", size[1] if block else size, 0)
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size centered innovations with variance exactly sigma2, drawn from
+        rng. An rng that is not a numpy Generator, or a size that is not an
+        integer >= 0, raises ValueError."""
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
+        return self._block([rng], _check_integer("size", size, 0))[0]
+
+    def _block(self, rngs: list, m: int) -> np.ndarray:
+        """The (len(rngs), m) block whose row i is what draw(rngs[i], m) draws,
+        from checked arguments."""
+        family = self.family
         out, a = np.empty((len(rngs), m)), np.sqrt(3.0 * self.sigma2)
         # each row draws into its place (a gaussian row without a temporary),
         # then one affine map scales the block with the operations of one row
@@ -83,7 +82,7 @@ class NoiseSpec:
             out *= s / np.sqrt(self.df / (self.df - 2.0))
         elif family == "rademacher":
             out[:] = s * (2.0 * out - 1.0)
-        return out if block else out[0]
+        return out
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,7 @@ def _paths(params: ModelParams, n: int, noise: NoiseSpec | None, seeds: list,
     for that seed alone, from checked arguments (seeds as _check_seed gives)."""
     linear_filter = _linear_filter()
     rho = params.rho
-    v = _noise(params, noise).draw(_generators(seeds), (len(seeds), burn_in + n + 1))
+    v = _noise(params, noise)._block(_generators(seeds), burn_in + n + 1)
     eps = np.empty_like(v)
     eps[:, 0] = v[:, 0] / np.sqrt(1.0 - rho * rho)
     # both filters get the arrays scipy.signal.lfilter passes to this kernel

@@ -264,10 +264,10 @@ class TestErrorPaths:
 
     def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys):
         # injected: a real allocation of this size would take the host's memory
-        def draw(self, rng, size):
-            raise MemoryError(f"Unable to allocate an array with shape {size}")
+        def block(self, rngs, m):
+            raise MemoryError(f"Unable to allocate an array with shape {(len(rngs), m)}")
 
-        monkeypatch.setattr(ardw.NoiseSpec, "draw", draw)
+        monkeypatch.setattr(ardw.NoiseSpec, "_block", block)
         csv = tmp_path / "traj.csv"
         assert run(["simulate", "--theta", "0.5", "--rho", "0.0", "--n", "100000000000",
                     "--output", str(csv)]) == 2
@@ -365,7 +365,9 @@ class TestPowerCommand:
          ({"noise": {"family": "uniform", "sigma2": 1e308}}, "sqrt(3 sigma2) finite"),
          ({"n_list": [100, 100]}, "n_list must not repeat a value, got (100, 100)"),
          ({"tests": ["dw_chi2", "durbin_h", "dw_chi2"]},
-          "tests must not repeat a value, got ('dw_chi2', 'durbin_h', 'dw_chi2')")],
+          "tests must not repeat a value, got ('dw_chi2', 'durbin_h', 'dw_chi2')"),
+         ({"reps": 2**63}, "reps must be <= 9223372036854775807, got 9223372036854775808"),
+         ({"reps": 10**400}, "reps must be <= 9223372036854775807, got 1000")],
         ids=["unknown_test", "n_below_p_plus_2", "no_n_list", "no_params_list",
              "params_without_p", "params_sigma2_inf", "reps_string", "reps_float",
              "reps_bool", "n_float", "master_seed_float", "reps_below_100",
@@ -377,7 +379,7 @@ class TestPowerCommand:
              "noise_sigma2_400_digits", "theta_numeric_string",
              "level_out_of_range", "tests_string", "tests_empty_string",
              "n_list_empty_string", "n_list_int", "noise_uniform_sigma2_overflows",
-             "n_list_repeated", "tests_repeated"],
+             "n_list_repeated", "tests_repeated", "reps_2_63", "reps_400_digits"],
     )
     def test_invalid_config_exit_2(self, tmp_path, capsys, change, message):
         cfg = {"params_list": [{"p": 2, "theta": [0.4, -0.3], "rho": 0.0}],
@@ -422,6 +424,19 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "reps must be >= 2" in json.loads(captured.err)["message"]
+
+    @pytest.mark.parametrize("reps", [str(2**63), str(10**400)], ids=["2_63", "400_digits"])
+    def test_clt_reps_past_maxsize_exit_2(self, capsys, reps):
+        # reps is a range's length, which len() takes up to sys.maxsize
+        assert run(
+            ["diagnose", "--kind", "clt", "--theta", "0.5", "--rho", "0.3",
+             "--n", "50", "--reps", reps]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"reps must be <= 9223372036854775807, got {reps}"}
 
     def test_clt_negative_seed_exit_2(self, capsys):
         assert run(

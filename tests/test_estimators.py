@@ -91,6 +91,7 @@ class TestOlsTheta:
             (np.arange(10.0), -1, "p must be >= 1"),
             (np.array([1.0, 2.0, np.nan, 0.5, 0.3]), 1, "finite"),
             (np.array([1.0, np.inf, 0.2, 0.5, 0.3]), 1, "finite"),
+            (np.array([1.0, 1e200, 0.2, 0.5, 0.3]), 1, "finite values below 1e150"),
             (np.arange(10.0), True, "p must be an integer"),
             (np.arange(10.0), 1.5, "p must be an integer"),
             (np.arange(10.0), "1", "p must be an integer"),
@@ -98,15 +99,14 @@ class TestOlsTheta:
             (np.zeros((2, 50)), 1, r"x must have shape \(n\+1\), got \(2, 50\)"),
             (np.zeros((2, 2, 50)), 1, r"x must have shape \(n\+1\), got \(2, 2, 50\)"),
         ],
-        ids=["p_zero", "p_negative", "nan", "inf", "p_bool", "p_float", "p_str", "scalar",
+        ids=["p_zero", "p_negative", "nan", "inf", "huge", "p_bool", "p_float", "p_str", "scalar",
              "block_without_errors", "three_d"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejects_bad_order_and_non_finite_series(self, x, p, message):
-        # yule_walker_fit checks p and the shape as fit does
-        calls = [ardw.fit]
-        if message != "finite":
-            calls.append(ardw.yule_walker_fit)
-        for call in calls:
+        # yule_walker_fit checks p, the shape and the values as fit does,
+        # before any arithmetic that could warn
+        for call in (ardw.fit, ardw.yule_walker_fit):
             with pytest.raises(ValueError, match=message):
                 call(x, p)
 
@@ -114,9 +114,10 @@ class TestOlsTheta:
 @pytest.mark.parametrize("bad", [
     np.ones(10) * 1j, [1j] * 10, np.ones(10, dtype=np.complex64), [{"a": 1}] * 10,
     np.array([object()] * 10), ["one"] * 10, [10**400] * 10, [2**70] * 10, ["0.5"] * 10,
-    [True] * 10, np.ones(10, dtype=bool),
+    [True] * 10, np.ones(10, dtype=bool), None, [[0.5], [0.5, 0.5]],
 ], ids=["complex_array", "complex_list", "complex64", "dicts", "objects", "strings",
-        "huge_ints", "ints_past_uint64", "numeric_strings", "bools", "bool_array"])
+        "huge_ints", "ints_past_uint64", "numeric_strings", "bools", "bool_array", "none",
+        "ragged"])
 def test_values_must_be_real_numbers(bad):
     # numpy casts a complex array to its real part with a warning only
     f = ardw.fit(np.arange(10.0) % 3, 1)

@@ -35,8 +35,8 @@ def params(theta, rho, sigma2=1.0):
 class ZeroNoise(NoiseSpec):
     """Draws only zeros, so every path is zero."""
 
-    def draw(self, rng, size):
-        return np.zeros(size)
+    def _block(self, rngs, m):
+        return np.zeros((len(rngs), m))
 
 
 def lag_matrix_theta_hat_blocks(x, p, start):

@@ -126,8 +126,6 @@ REAL_ARGUMENTS = (
     lambda v: run_tests(v, FIT),
     lambda v: run_tests(X, FIT, level=v),
     lambda v: ardw.dw_chi2_test(FIT, v),
-    lambda v: ardw.chi2_sf(v),
-    lambda v: ardw.normal_sf(v),
     lambda v: ardw.chi2_quantile(v),
     lambda v: ardw.StudyConfig(params_list=(), n_list=(100,), level=v),
 )

@@ -20,8 +20,8 @@ from ardw.simulate import (
 class ZeroNoise(NoiseSpec):
     """Degenerate noise hook for deterministic recursion tests."""
 
-    def draw(self, rng, size):
-        return np.zeros(size)
+    def _block(self, rngs, m):
+        return np.zeros((len(rngs), m))
 
 
 def params(theta, rho, sigma2=1.0):
@@ -179,38 +179,41 @@ class TestNoiseSpec:
         # sigma2 = 1 skips the scaling: x * 1.0 is x, bit for bit
         want = derive_rng(3).standard_normal(50)
         assert NoiseSpec().draw(derive_rng(3), 50).tobytes() == want.tobytes()
-        assert NoiseSpec().draw([derive_rng(3)], (1, 50))[0].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("rng", [None, 3, [None], [derive_rng(1), "rng"]],
-                             ids=["none", "int", "list_of_none", "list_with_str"])
-    def test_rng_must_be_a_generator_or_a_list_of_them(self, rng):
-        size = (len(rng), 3) if isinstance(rng, list) else 3
-        with pytest.raises(ValueError, match="^rng must be a numpy Generator or a list of them"):
+    @pytest.mark.parametrize("family", ["gaussian", "uniform", "student_t", "rademacher"])
+    def test_block_rows_are_the_one_generator_draws(self, family):
+        # the block that simulation draws scales all rows at once; row i must
+        # still be what its generator alone draws
+        noise = NoiseSpec(family, sigma2=2.5, df=6)
+        block = noise._block([derive_rng(1), derive_rng(2), derive_rng(3)], 40)
+        assert block.shape == (3, 40)
+        for i, row in enumerate(block):
+            assert row.tobytes() == noise.draw(derive_rng(i + 1), 40).tobytes()
+        assert noise._block([derive_rng(1), derive_rng(2)], 0).shape == (2, 0)
+
+    @pytest.mark.parametrize("rng, size", [
+        (None, 3), (3, 3), ([None], (1, 3)), ([derive_rng(1)], (1, 5)),
+        ([derive_rng(1), derive_rng(2)], (2, 3)),
+    ], ids=["none", "int", "list_of_none", "list_of_one", "list_of_two"])
+    def test_rng_must_be_a_generator(self, rng, size):
+        # a list of generators is the block that only simulation draws
+        with pytest.raises(ValueError, match="^rng must be a numpy Generator, got "):
             NoiseSpec().draw(rng, size)
 
-    @pytest.mark.parametrize("block, size, message", [
-        (False, "3", "size must be an integer, got '3'"),
-        (False, 2.5, "size must be an integer, got 2.5"),
-        (False, True, "size must be an integer, got True"),
-        (False, -1, "size must be >= 0, got -1"),
-        (False, (1, 3), "size must be an integer, got (1, 3)"),
-        (True, 3, "size must be the pair (len(rng), m), got 3"),
-        (True, (3, 3), "size must be the pair (len(rng), m), got (3, 3)"),
-        (True, [2, 3], "size must be the pair (len(rng), m), got [2, 3]"),
-        (True, (True, 3), "rows must be an integer, got True"),
-        (True, (2, 2.5), "m must be an integer, got 2.5"),
-        (True, (2, -1), "m must be >= 0, got -1"),
-    ], ids=["str", "float", "bool", "negative", "pair_for_one", "int_for_block",
-            "rows_mismatch", "list_for_block", "bool_rows", "float_m", "negative_m"])
-    def test_size_must_be_a_count_or_a_block_shape(self, block, size, message):
-        rng = [derive_rng(1), derive_rng(2)] if block else derive_rng(1)
+    @pytest.mark.parametrize("size, message", [
+        ("3", "size must be an integer, got '3'"),
+        (2.5, "size must be an integer, got 2.5"),
+        (True, "size must be an integer, got True"),
+        (-1, "size must be >= 0, got -1"),
+        ((1, 3), "size must be an integer, got (1, 3)"),
+    ], ids=["str", "float", "bool", "negative", "pair"])
+    def test_size_must_be_a_count(self, size, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NoiseSpec().draw(rng, size)
+            NoiseSpec().draw(derive_rng(1), size)
 
     def test_numpy_integer_sizes_and_zero_draws_are_accepted(self):
         assert NoiseSpec().draw(derive_rng(1), np.int64(0)).shape == (0,)
-        rngs = [derive_rng(1), derive_rng(2)]
-        assert NoiseSpec().draw(rngs, (np.int64(2), np.int64(3))).shape == (2, 3)
+        assert NoiseSpec().draw(derive_rng(1), np.int64(3)).shape == (3,)
 
     def test_uniform_half_width_must_be_finite(self):
         # sqrt(3 sigma2) is the half-width of the uniform support
